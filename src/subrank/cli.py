@@ -50,7 +50,11 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("SUBRANK_SEED", "0"))
+    text = os.environ.get("SUBRANK_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"SUBRANK_SEED must be an integer, got {text!r}") from None
 
 
 def _write(text: str, out: str | None) -> None:
@@ -64,8 +68,15 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise SystemExit(f"error: modulus {p} is not prime")
+    # is_prime and the uint64 residue storage are exact only below 2^64.
+    if p >= 1 << 64:
+        message = f"modulus {p} is not below 2^64"
+    elif not is_prime(p):
+        message = f"modulus {p} is not prime"
+    else:
+        return
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def cmd_q(args: argparse.Namespace) -> int:
@@ -146,6 +157,8 @@ def cmd_dim(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     _check_prime(args.prime)
+    if args.max < 1:
+        raise ValueError(f"--max must be at least 1, got {args.max}")
     header = "n,q,rows,cols"
     if args.verify:
         header += ",certificate_ok,rank_ok"
@@ -211,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="modular rank verification")
     add_common(p)
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int, default=3)
     p.set_defaults(func=cmd_verify)
 
@@ -220,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the spanning-set rank oracle")
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("table", help="CSV table of Q(n) for n = 1..max")
@@ -228,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="also run certificate and modular rank checks")
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_table)
@@ -237,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--format", choices=["json", "coord", "values"], default="json")
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="write here instead of stdout")
     p.set_defaults(func=cmd_export)
 
@@ -248,6 +261,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) is None:  # --seed omitted: use SUBRANK_SEED
+            args.seed = _default_seed()
         return args.func(args)
     except TooFewColumnsError as exc:
         print(f"error: {exc}", file=sys.stderr)

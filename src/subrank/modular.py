@@ -7,9 +7,16 @@ expected rank is conclusive (any specialization lower-bounds the generic
 rank); trials below it are inconclusive and only reported.
 
 The default prime is the Mersenne prime 2^61 - 1: residues fit in machine
-words, double-width intermediates stay inside uint64 after 31-bit limb
-splitting, and the per-trial false-negative probability is bounded by
-(#rows)/p, which is negligible at desk scale.
+words, and the per-trial false-negative probability is bounded by
+(#rows)/p, which is negligible at desk scale.  Every rank mod 2^61 - 1 runs
+through one blocked elimination kernel.  It factors panels of columns one
+column at a time, with 31-bit limbs keeping elementwise products inside
+uint64.  The trailing update is a matrix product taken as three float64
+BLAS calls on 21-bit limbs.  It runs in column strips of fixed width, so
+peak memory is about the matrix, its working copy and a few strip-sized
+temporaries.  It skips rows whose multipliers in the panel are all zero,
+which most rows of block-diagonal and unit-vector inputs are.  Other primes
+use the plain Python elimination that tests also use as the reference.
 """
 
 from __future__ import annotations
@@ -123,10 +130,15 @@ def modular_to_coordinate_list(mm: ModularMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- Mersenne-61 vector kernels ----------------------------------------------
+# -- Mersenne-61 kernels ------------------------------------------------------
 #
-# All values stay < 2^61; products are formed from 31/30-bit limbs so every
-# intermediate fits in uint64.  2^61 == 1 (mod p) drives the foldings.
+# All values stay < 2^61.  Elementwise products are formed from 31/30-bit
+# limbs so every intermediate fits in uint64; matrix products use 21-bit
+# limbs in float64 BLAS.  2^61 == 1 (mod p) drives the foldings.
+
+# Columns per trailing-update strip of the rank kernel; its temporaries are
+# a few (rows x _STRIP) arrays.
+_STRIP = 512
 
 
 def _fold61(x: np.ndarray) -> np.ndarray:
@@ -167,50 +179,44 @@ def _submod_m61(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _matmul_mod_m61(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact (x @ y) mod (2^61 - 1) via 21-bit limbs and float64 matmul.
+    """Exact (x @ y) mod (2^61 - 1) with three float64 matmuls.
 
-    Requires the inner dimension <= 512 so that the up-to-three limb
-    products of one output level sum exactly within float64's 53-bit
-    integer range (3 * 512 * (2^21 - 1)^2 < 2^53).  Level contributions
-    stay below 2^61 + 2^37, so all five accumulate in uint64 with a single
-    final fold.
+    Split both operands into 21-bit limbs, x = x0 + x1 2^21 + x2 2^42.
+    Since 2^63 == 4 and 2^84 == 4 * 2^21 (mod p), the five limb-product
+    levels fold into three, and x @ y == d0 + d1 2^21 + d2 2^42 with
+
+        d0 = x0 y0 + 4 x1 y2 + 4 x2 y1
+        d1 = x0 y1 + x1 y0 + 4 x2 y2
+        d2 = x0 y2 + x1 y1 + x2 y0.
+
+    Stacking the limbs as X = [x2|x1|x0] and Y = [4y1; 4y2; y0; y1; y2]
+    makes each d_j one float64 matmul of X with three consecutive limb rows
+    of Y.  Every term is below 2^42 (x2, y2 < 2^19), so an inner dimension
+    of at most 512 keeps each sum exact (3 * 512 * 2^42 < 2^53).
     """
     k = x.shape[1]
     if k > 512:
         raise ValueError(f"inner dimension {k} too large for exact float64 matmul")
-    xs = [
-        (x & np.uint64(_M21)).astype(np.float64),
-        ((x >> np.uint64(21)) & np.uint64(_M21)).astype(np.float64),
-        (x >> np.uint64(42)).astype(np.float64),
-    ]
-    ys = [
-        (y & np.uint64(_M21)).astype(np.float64),
-        ((y >> np.uint64(21)) & np.uint64(_M21)).astype(np.float64),
-        (y >> np.uint64(42)).astype(np.float64),
-    ]
-    shape = (x.shape[0], y.shape[1])
-    acc = np.zeros(shape, dtype=np.uint64)
-    cu = np.empty(shape, dtype=np.uint64)
-    hi = np.empty(shape, dtype=np.uint64)
-    for level in range(5):
-        c = None
-        for a in range(3):
-            b = level - a
-            if 0 <= b < 3:
-                prod = xs[a] @ ys[b]
-                c = prod if c is None else c + prod      # exact: sum < 2^53
-        np.copyto(cu, c, casting="unsafe")
-        e = (21 * level) % 61
-        if e == 0:
-            np.add(acc, cu, out=acc)
-        else:
-            keep = np.uint64(61 - e)
-            np.right_shift(cu, keep, out=hi)
-            np.add(acc, hi, out=acc)
-            np.bitwise_and(cu, np.uint64((1 << (61 - e)) - 1), out=cu)
-            np.left_shift(cu, np.uint64(e), out=cu)
-            np.add(acc, cu, out=acc)
-    return _fold61(acc)                                  # acc < 2^63.1
+    m21 = np.uint64(_M21)
+    xs = np.empty((x.shape[0], 3 * k))
+    xs[:, :k] = x >> np.uint64(42)
+    xs[:, k:2 * k] = (x >> np.uint64(21)) & m21
+    xs[:, 2 * k:] = x & m21
+    y1 = ((y >> np.uint64(21)) & m21).astype(np.float64)
+    y2 = (y >> np.uint64(42)).astype(np.float64)
+    ys = np.concatenate([4.0 * y1, 4.0 * y2, (y & m21).astype(np.float64), y1, y2])
+    d = xs @ ys[:3 * k]                                  # d0 < 2^52
+    acc = d.astype(np.uint64)
+    t = np.empty_like(acc)
+    for j, keep in ((1, 40), (2, 19)):
+        # d_j 2^(21 j) == (d_j mod 2^keep) 2^(61 - keep) + (d_j >> keep)
+        np.matmul(xs, ys[j * k:(j + 3) * k], out=d)
+        np.copyto(t, d, casting="unsafe")
+        acc += t >> np.uint64(keep)
+        t &= np.uint64((1 << keep) - 1)
+        t <<= np.uint64(61 - keep)
+        acc += t
+    return _fold61(acc)                                  # acc < 2^62.1
 
 
 # -- rank / determinant kernels ------------------------------------------------
@@ -263,36 +269,16 @@ def _det_python(rows: list[list[int]], p: int) -> int:
     return det % p
 
 
-def _rank_m61_rowwise(a: np.ndarray) -> int:
-    """Elimination mod 2^61-1 with per-pivot vectorized updates."""
-    a = a.copy()
-    m, n = a.shape
-    rank = 0
-    for c in range(n):
-        nz = np.nonzero(a[rank:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, c]), -1, _M61)
-        a[rank, c:] = _scalar_mulmod_m61(inv, a[rank, c:])
-        below = rank + 1 + np.nonzero(a[rank + 1:, c])[0]
-        if below.size:
-            f = a[below, c]
-            a[below[:, None], np.arange(c, n)[None, :]] = _submod_m61(
-                a[below, c:], _outer_mulmod_m61(f, a[rank, c:])
-            )
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
 def _rank_m61_blocked(a: np.ndarray, panel: int = 128) -> int:
-    """Blocked elimination mod 2^61-1: panel factorization plus exact
-    float64-matmul trailing updates.  Multipliers are left in place in the
-    pivot columns (never revisited) and read back for the block update."""
+    """Rank mod 2^61-1 by blocked Gaussian elimination.
+
+    Each panel of `panel` columns is factored column by column; the
+    multipliers stay in place in the pivot columns (never revisited) and are
+    read back for the trailing update A22 -= F (L'^-1 A12), where F is the
+    multiplier block of the rows below the panel's pivot rows.  The update
+    runs in strips of _STRIP columns, so its temporaries scale with the
+    strip, and it touches only rows with a nonzero row of F; that skips most
+    rows of block-diagonal and unit-vector inputs."""
     a = a.copy()
     m, n = a.shape
     rank = 0
@@ -332,11 +318,16 @@ def _rank_m61_blocked(a: np.ndarray, panel: int = 128) -> int:
             rank += 1
             if rank == m:
                 break
-        g = rank - g0
-        if g and c1 < n:
+        # Only rows below whose multipliers in this panel are not all zero
+        # change; the pivot rows' trailing entries are never read again.
+        f = a[rank:, piv_cols]
+        rows = rank + np.flatnonzero(f.any(axis=1))
+        if rows.size and c1 < n:
+            f = f[rows - rank]
             # Invert L', the lower triangular matrix with the saved pivot
             # values on the diagonal and the in-place multipliers below it,
             # by forward substitution one row at a time.
+            g = rank - g0
             lower = a[g0:rank, piv_cols]
             linv = np.zeros((g, g), dtype=np.uint64)
             for i in range(g):
@@ -346,13 +337,10 @@ def _rank_m61_blocked(a: np.ndarray, panel: int = 128) -> int:
                     acc = _matmul_mod_m61(lower[i : i + 1, :i], linv[:i])[0]
                     e = _submod_m61(e, acc)
                 linv[i] = _scalar_mulmod_m61(invs[i], e)
-            u_rest = _matmul_mod_m61(linv, a[g0:rank, c1:])
-            a[g0:rank, c1:] = u_rest
-            if rank < m:
-                f_below = a[rank:, piv_cols]
-                a[rank:, c1:] = _submod_m61(
-                    a[rank:, c1:], _matmul_mod_m61(f_below, u_rest)
-                )
+            for s0 in range(c1, n, _STRIP):
+                s = slice(s0, s0 + _STRIP)
+                u = _matmul_mod_m61(linv, a[g0:rank, s])
+                a[rows, s] = _submod_m61(a[rows, s], _matmul_mod_m61(f, u))
         c0 = c1
     return rank
 
@@ -362,9 +350,7 @@ def rank_mod_p(mm: ModularMatrix) -> int:
     if mm.n_rows == 0 or mm.n_cols == 0:
         return 0
     if mm.p == MERSENNE61:
-        if max(mm.n_rows, mm.n_cols) > 150:
-            return _rank_m61_blocked(mm.data)
-        return _rank_m61_rowwise(mm.data)
+        return _rank_m61_blocked(mm.data)
     return _rank_python(mm.data.tolist(), mm.p)
 
 

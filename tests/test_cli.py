@@ -87,8 +87,10 @@ class TestVerify:
         assert "NOT ok" in out
 
     def test_composite_prime_rejected(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["verify", "--dims", "6,6,6", "--r", "4", "--prime", "1000"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: modulus 1000 is not prime\n"
 
 
 class TestDim:
@@ -204,3 +206,28 @@ class TestSeedEnvFallback:
                                 "--format", "values", "--seed", "5"])
         out_flag = capsys.readouterr().out
         assert out_env == out_flag
+
+
+class TestBadInput:
+    def test_non_integer_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("SUBRANK_SEED", "x")
+        code, out, err = run(capsys, "verify", "--dims", "4,4,4", "--r", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: SUBRANK_SEED must be an integer, got 'x'\n"
+
+    def test_prime_at_least_two_to_the_64(self, capsys):
+        prime = str((1 << 64) + 13)  # the least prime above 2^64
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--dims", "6,6,6", "--r", "4", "--prime", prime])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: modulus {prime} is not below 2^64\n"
+
+    @pytest.mark.parametrize("top", ["0", "-5"])
+    def test_table_max_below_one(self, capsys, top):
+        code, out, err = run(capsys, "table", "--max", top)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --max must be at least 1, got {top}\n"

@@ -8,8 +8,9 @@ from subrank.modular import (
     MERSENNE61,
     ModularMatrix,
     RandomAssignment,
+    _STRIP,
+    _matmul_mod_m61,
     _rank_m61_blocked,
-    _rank_m61_rowwise,
     _rank_python,
     brute_force_uniqueness,
     count_monomial_terms,
@@ -108,7 +109,67 @@ class TestRank:
             fwd = _rank_python(rows, p)
             rev = _rank_python(rows, p, reverse_cols=True)
             arr = np.array(rows, dtype=np.uint64)
-            assert fwd == rev == _rank_m61_rowwise(arr) == _rank_m61_blocked(arr, panel=16)
+            assert fwd == rev == _rank_m61_blocked(arr, panel=16)
+
+    def test_blocked_kernel_agrees_with_reference(self):
+        rng = random.Random(2024)
+        p = MERSENNE61
+
+        def entry():
+            return rng.choice((1, p - 1, p - 1, rng.randrange(1, p)))
+
+        def product_rank_deficient(m, n, k):
+            left = [[entry() for _ in range(k)] for _ in range(m)]
+            right = [[entry() for _ in range(n)] for _ in range(k)]
+            return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)]
+                    for row in left]
+
+        def unit_and_block_diagonal(m, n):
+            rows = []
+            for i in range(m):
+                row = [0] * n
+                if i % 3:
+                    row[rng.randrange(n)] = entry()       # unit-vector row
+                else:
+                    lo = (i * 5) % n                      # one short diagonal block
+                    for j in range(lo, min(lo + 6, n)):
+                        row[j] = entry()
+                rows.append(row)
+            return rows
+
+        def dense(m, n, density):
+            return [[entry() if rng.random() < density else 0 for _ in range(n)]
+                    for _ in range(m)]
+
+        cases = [
+            dense(45, 37, 0.5),                            # several panels
+            dense(30, 70, 0.2),
+            [[p - 1] * 40 for _ in range(20)],             # every entry p - 1
+            dense(24, _STRIP + 29, 0.3),                   # a partial last strip
+            dense(12, 2 * _STRIP + 3, 0.05),
+            unit_and_block_diagonal(60, 50),
+            unit_and_block_diagonal(40, _STRIP + 5),
+            product_rank_deficient(40, 36, 11),
+            product_rank_deficient(26, _STRIP + 9, 19),
+        ]
+        for rows in cases:
+            want = _rank_python(rows, p)
+            arr = np.array(rows, dtype=np.uint64)
+            for panel in (4, 9, 128):
+                assert _rank_m61_blocked(arr, panel=panel) == want
+        assert _rank_python(cases[2], p) == 1
+        assert _rank_python(cases[7], p) == 11
+
+    def test_limb_matmul_is_exact_at_inner_bound(self):
+        p = MERSENNE61
+        x = [[p - 1] * 512 for _ in range(3)]
+        y = [[p - 1] * 4 for _ in range(512)]
+        got = _matmul_mod_m61(np.array(x, dtype=np.uint64), np.array(y, dtype=np.uint64))
+        want = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*y)] for row in x]
+        assert got.tolist() == want == [[512] * 4] * 3
+        with pytest.raises(ValueError, match="inner dimension"):
+            _matmul_mod_m61(np.zeros((1, 513), dtype=np.uint64),
+                            np.zeros((513, 1), dtype=np.uint64))
 
     def test_small_prime_path(self):
         rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
