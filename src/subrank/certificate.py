@@ -149,7 +149,7 @@ def cross_block(
                 continue
             live = [
                 (i, j)
-                for i, j in pm.var_occ[vi]
+                for i, j in pm.var_occ(vi)
                 if i not in state.crossed_row_idx and j not in state.crossed_col_idx
             ]
             if not live:
@@ -282,7 +282,7 @@ def validate(pm: PatternMatrix, cert: Certificate) -> Verdict:
             return Verdict(False, f"unknown variable {v}", idx)
         live = [
             (i, j)
-            for i, j in pm.var_occ[vi]
+            for i, j in pm.var_occ(vi)
             if i not in crossed_rows and j not in crossed_cols
         ]
         if not live:

@@ -114,11 +114,7 @@ def instantiate(pm: PatternMatrix, assignment: RandomAssignment) -> ModularMatri
         [assignment.values[v] % p for v in pm.variables] or [0], dtype=np.uint64
     )
     data = np.zeros((pm.n_rows, pm.n_cols), dtype=np.uint64)
-    if pm.nnz:
-        ii = np.array(pm.entry_rows, dtype=np.intp)
-        jj = np.array(pm.entry_cols, dtype=np.intp)
-        vv = np.array(pm.entry_vars, dtype=np.intp)
-        data[ii, jj] = vals[vv]
+    data[pm.entry_rows, pm.entry_cols] = vals[pm.entry_vars]
     return ModularMatrix(pm.n_rows, pm.n_cols, p, data)
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property
+
+import numpy as np
 
 from .combinatorics import count_rows, enumerate_rows
 
@@ -50,9 +51,9 @@ def parse_variable(label: str) -> Variable:
 class PatternMatrix:
     """Immutable sparse symbolic matrix plus row/column/variable indexes.
 
-    Storage is row-major (parallel entry arrays sorted by row, column) with
-    a per-variable occurrence index; columns can be scanned through the
-    cached per-column index.
+    Entries are three parallel integer arrays sorted by row, then column,
+    computed from the entry rule; one stable argsort of `entry_vars` indexes
+    the occurrences of each variable.
     """
 
     def __init__(self, r: int, dims: tuple[int, ...]):
@@ -79,43 +80,39 @@ class PatternMatrix:
         self.row_pos = {p: i for i, p in enumerate(self.rows)}
         self.col_pos = {c: j for j, c in enumerate(self.cols)}
 
-        # One nonzero per row and (t, s) pair, at column (t, j_t, s).
-        entry_rows: list[int] = []
-        entry_cols: list[int] = []
-        entry_vars: list[int] = []
-        var_pos: dict[Variable, int] = {}
+        # One nonzero per row and (t, s) pair, at column (t, j_t, s), holding
+        # a^{t,s}_w with w the row minus coordinate t.  Per direction t the
+        # entries form an (n_rows, n_t - r) block; placing the blocks side by
+        # side in t order keeps the entries sorted by row, then column.
+        rows = np.array(self.rows, dtype=np.intp).reshape(-1, k)
+        place = r ** np.arange(k - 2, -1, -1)
+        col_blocks, var_blocks = [], []
         variables: list[Variable] = []
-        occ: list[list[tuple[int, int]]] = []
-        for i, p in enumerate(self.rows):
-            for t in range(1, k + 1):
-                reduced = p[: t - 1] + p[t:]
-                for s in range(1, dims[t - 1] - r + 1):
-                    j = self.col_pos[(t, p[t - 1], s)]
-                    v = Variable(t=t, s=s, reduced=reduced)
-                    vi = var_pos.get(v)
-                    if vi is None:
-                        vi = len(variables)
-                        var_pos[v] = vi
-                        variables.append(v)
-                        occ.append([])
-                    entry_rows.append(i)
-                    entry_cols.append(j)
-                    entry_vars.append(vi)
-                    occ[vi].append((i, j))
-
-        # Reindex variables into lexicographic (t, s, reduced) order so
-        # seeded assignments are reproducible across implementations.
-        order = sorted(range(len(variables)), key=lambda vi: variables[vi])
-        rank_of = [0] * len(order)
-        for new, old in enumerate(order):
-            rank_of[old] = new
-        self.variables: tuple[Variable, ...] = tuple(variables[old] for old in order)
+        col0 = 0
+        for t in range(1, k + 1):
+            slots = dims[t - 1] - r
+            w = np.delete(rows, t - 1, axis=1)
+            # Base-r codes of w sort like w, so unique numbers the reduced
+            # tuples in lexicographic order and the variables come out in
+            # (t, s, w) order, which seeded assignments depend on.
+            _, first, w_num = np.unique(
+                (w - 1) @ place, return_index=True, return_inverse=True
+            )
+            s = np.arange(slots)  # s - 1 for the slots s = 1..n_t - r
+            col_blocks.append(col0 + (rows[:, [t - 1]] - 1) * slots + s)
+            var_blocks.append(len(variables) + s * len(first) + w_num.reshape(-1, 1))
+            reduced = [tuple(x) for x in w[first].tolist()]
+            variables += [Variable(t, si, x) for si in range(1, slots + 1) for x in reduced]
+            col0 += r * slots
+        self.variables: tuple[Variable, ...] = tuple(variables)
         self.var_pos = {v: vi for vi, v in enumerate(self.variables)}
-        self.entry_rows = entry_rows
-        self.entry_cols = entry_cols
-        self.entry_vars = [rank_of[vi] for vi in entry_vars]
-        self.var_occ: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(occ[old]) for old in order
+        self.entry_cols = np.hstack(col_blocks).ravel()
+        self.entry_vars = np.hstack(var_blocks).ravel()
+        self.entry_rows = np.repeat(np.arange(len(rows)), sum(dims) - k * r)
+        # Entry numbers grouped by variable, in row order within a group.
+        self._occ_order = np.argsort(self.entry_vars, kind="stable")
+        self._occ_start = np.searchsorted(
+            self.entry_vars[self._occ_order], np.arange(len(variables) + 1)
         )
 
     # -- basic facts ------------------------------------------------------
@@ -132,13 +129,10 @@ class PatternMatrix:
     def nnz(self) -> int:
         return len(self.entry_rows)
 
-    @cached_property
-    def col_entries(self) -> dict[int, list[tuple[int, int]]]:
-        """Per-column reverse index: j -> [(i, var index), ...]."""
-        out: dict[int, list[tuple[int, int]]] = {}
-        for i, j, vi in zip(self.entry_rows, self.entry_cols, self.entry_vars):
-            out.setdefault(j, []).append((i, vi))
-        return out
+    def var_occ(self, vi: int) -> list[tuple[int, int]]:
+        """(row index, column index) of every occurrence of variable vi, by row."""
+        at = self._occ_order[self._occ_start[vi] : self._occ_start[vi + 1]]
+        return list(zip(self.entry_rows[at].tolist(), self.entry_cols[at].tolist()))
 
     def entry(self, p: tuple[int, ...], c: tuple[int, int, int]) -> Variable | None:
         """Variable at row p, column c = (t, m, s); None where the matrix is zero."""
@@ -185,10 +179,15 @@ def occurrences(
     vi = pm.var_pos.get(v)
     if vi is None:
         return set()
-    return {(pm.rows[i], pm.cols[j]) for i, j in pm.var_occ[vi]}
+    return {(pm.rows[i], pm.cols[j]) for i, j in pm.var_occ(vi)}
 
 
 # -- serialization ---------------------------------------------------------
+
+
+def _entries(pm: PatternMatrix) -> zip[tuple[int, int, int]]:
+    """(row, column, variable) index triples as Python ints, row-major."""
+    return zip(pm.entry_rows.tolist(), pm.entry_cols.tolist(), pm.entry_vars.tolist())
 
 
 def pattern_to_json(pm: PatternMatrix) -> str:
@@ -200,7 +199,7 @@ def pattern_to_json(pm: PatternMatrix) -> str:
         "cols": [list(c) for c in pm.cols],
         "entries": [
             {"row": i, "col": j, "var": pm.variables[vi].label}
-            for i, j, vi in zip(pm.entry_rows, pm.entry_cols, pm.entry_vars)
+            for i, j, vi in _entries(pm)
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=False)
@@ -214,14 +213,13 @@ def pattern_from_json(text: str) -> PatternMatrix:
     cols = [tuple(c) for c in doc["cols"]]
     if rows != list(pm.rows) or cols != list(pm.cols):
         raise ValueError("row/column labels disagree with the stated r and dims")
+    if len(doc["entries"]) != pm.nnz:
+        raise ValueError(f"entry list has {len(doc['entries'])} entries, expected {pm.nnz}")
     listed = {
         (int(e["row"]), int(e["col"])): parse_variable(e["var"])
         for e in doc["entries"]
     }
-    actual = {
-        (i, j): pm.variables[vi]
-        for i, j, vi in zip(pm.entry_rows, pm.entry_cols, pm.entry_vars)
-    }
+    actual = {(i, j): pm.variables[vi] for i, j, vi in _entries(pm)}
     if listed != actual:
         raise ValueError("entry list disagrees with the stated r and dims")
     return pm
@@ -231,7 +229,7 @@ def pattern_to_coordinate_list(pm: PatternMatrix) -> str:
     """Newline-delimited ASCII form: "nRows nCols nnz" header, then one
     "rowIdx colIdx varName" line per nonzero (1-based indices)."""
     lines = [f"{pm.n_rows} {pm.n_cols} {pm.nnz}"]
-    for i, j, vi in zip(pm.entry_rows, pm.entry_cols, pm.entry_vars):
+    for i, j, vi in _entries(pm):
         lines.append(f"{i + 1} {j + 1} {pm.variables[vi].label}")
     return "\n".join(lines) + "\n"
 
@@ -239,6 +237,8 @@ def pattern_to_coordinate_list(pm: PatternMatrix) -> str:
 def parse_coordinate_list(text: str) -> tuple[int, int, list[tuple[int, int, Variable]]]:
     """Parse the coordinate-list form back into (nRows, nCols, entries)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("missing header")
     n_rows, n_cols, nnz = (int(x) for x in lines[0].split())
     entries = []
     for ln in lines[1:]:

@@ -1,6 +1,10 @@
+import hashlib
+
+import numpy as np
 import pytest
 
-from subrank.combinatorics import count_rows
+from subrank.combinatorics import count_rows, enumerate_rows
+from subrank.modular import instantiate, modular_to_coordinate_list, random_assignment
 from subrank.pattern import (
     Variable,
     build_pattern,
@@ -11,6 +15,48 @@ from subrank.pattern import (
     pattern_to_coordinate_list,
     pattern_to_json,
 )
+
+
+def reference_entries(r, dims):
+    """Per-entry loop over the entry rule: (rows, cols, vars, variables).
+
+    Variables are numbered in order of first appearance, then renumbered
+    into lexicographic (t, s, reduced) order.
+    """
+    k = len(dims)
+    rows = enumerate_rows(r, k)
+    col_pos = {
+        c: j
+        for j, c in enumerate(
+            (t, m, s)
+            for t in range(1, k + 1)
+            for m in range(1, r + 1)
+            for s in range(1, dims[t - 1] - r + 1)
+        )
+    }
+    entry_rows, entry_cols, entry_vars = [], [], []
+    var_pos, variables = {}, []
+    for i, p in enumerate(rows):
+        for t in range(1, k + 1):
+            reduced = p[: t - 1] + p[t:]
+            for s in range(1, dims[t - 1] - r + 1):
+                v = Variable(t=t, s=s, reduced=reduced)
+                if v not in var_pos:
+                    var_pos[v] = len(variables)
+                    variables.append(v)
+                entry_rows.append(i)
+                entry_cols.append(col_pos[(t, p[t - 1], s)])
+                entry_vars.append(var_pos[v])
+    order = sorted(range(len(variables)), key=lambda vi: variables[vi])
+    rank_of = [0] * len(order)
+    for new, old in enumerate(order):
+        rank_of[old] = new
+    return (
+        entry_rows,
+        entry_cols,
+        [rank_of[vi] for vi in entry_vars],
+        tuple(variables[old] for old in order),
+    )
 
 
 class TestBuild:
@@ -51,10 +97,32 @@ class TestBuild:
     def test_deterministic(self):
         a = build_pattern(4, (6, 6, 6))
         b = build_pattern(4, (6, 6, 6))
-        assert a.entry_rows == b.entry_rows
-        assert a.entry_cols == b.entry_cols
-        assert a.entry_vars == b.entry_vars
+        assert np.array_equal(a.entry_rows, b.entry_rows)
+        assert np.array_equal(a.entry_cols, b.entry_cols)
+        assert np.array_equal(a.entry_vars, b.entry_vars)
         assert a.variables == b.variables
+
+    @pytest.mark.parametrize(
+        "r,dims",
+        [
+            (4, (6, 6, 6)), (5, (7, 9, 6)), (4, (9, 4, 6)), (1, (1, 1, 1)),
+            (1, (3, 1, 2)), (2, (3, 3, 3)), (2, (9, 2, 5, 4)), (3, (4, 5, 3, 6)),
+            (3, (3, 4, 5, 3)), (3, (4, 3, 5, 4, 3)),
+        ],
+    )
+    def test_entries_match_reference_loop(self, r, dims):
+        pm = build_pattern(r, dims)
+        rows, cols, vars_, variables = reference_entries(r, dims)
+        got = (pm.entry_rows, pm.entry_cols, pm.entry_vars)
+        for array, want in zip(got, (rows, cols, vars_)):
+            assert array.dtype.kind == "i"
+            assert array.tolist() == want
+        assert pm.variables == variables
+        assert pm.var_pos == {v: vi for vi, v in enumerate(variables)}
+        occ = [[] for _ in variables]
+        for i, j, vi in zip(rows, cols, vars_):
+            occ[vi].append((i, j))
+        assert [pm.var_occ(vi) for vi in range(len(variables))] == occ
 
 
 class TestEntries:
@@ -78,13 +146,11 @@ class TestEntries:
 
     def test_column_index_agrees_with_entries(self):
         pm = build_pattern(3, (5, 4, 4))
-        by_col = pm.col_entries
-        assert sum(len(v) for v in by_col.values()) == pm.nnz
-        for j, items in by_col.items():
-            t, m, _ = pm.cols[j]
-            for i, vi in items:
-                assert pm.rows[i][t - 1] == m
-                assert pm.variables[vi].t == t
+        rows = np.array(pm.rows)
+        cols = np.array(pm.cols)
+        t, m = cols[pm.entry_cols, 0], cols[pm.entry_cols, 1]
+        assert np.array_equal(rows[pm.entry_rows, t - 1], m)
+        assert np.array_equal([pm.variables[vi].t for vi in pm.entry_vars], t)
 
     def test_one_nonzero_per_row_and_slot_pair(self):
         pm = build_pattern(3, (5, 4, 4))
@@ -166,13 +232,38 @@ class TestSerialization:
             assert again == pm
             assert again.rows == pm.rows
             assert again.cols == pm.cols
-            assert again.entry_vars == pm.entry_vars
+            assert np.array_equal(again.entry_vars, pm.entry_vars)
 
     def test_json_rejects_tampered_entries(self):
         import json
 
         pm = build_pattern(3, (4, 4, 4))
-        doc = json.loads(pattern_to_json(pm))
-        doc["entries"][0]["var"] = "a^{1,1}_{3,3}"
-        with pytest.raises(ValueError):
-            pattern_from_json(json.dumps(doc))
+        wrong_var = json.loads(pattern_to_json(pm))
+        wrong_var["entries"][0]["var"] = "a^{1,1}_{3,3}"
+        duplicated = json.loads(pattern_to_json(pm))
+        duplicated["entries"].append(duplicated["entries"][0])
+        for doc in [wrong_var, duplicated]:
+            with pytest.raises(ValueError):
+                pattern_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["", "\n"])
+    def test_coordinate_list_without_header_rejected(self, text):
+        with pytest.raises(ValueError, match="missing header"):
+            parse_coordinate_list(text)
+
+    def test_exports_are_byte_stable(self):
+        # Digests of outputs written by the per-entry builder this one replaced.
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        pm = build_pattern(5, (7, 6, 6))
+        values = modular_to_coordinate_list(instantiate(pm, random_assignment(pm, 3)))
+        assert digest(pattern_to_json(build_pattern(4, (6, 6, 6)))) == (
+            "c0cd7f934f3d672ef6ed0dcc937e39324eb00d607b7a70f96f54914d372ce354"
+        )
+        assert digest(pattern_to_coordinate_list(build_pattern(3, (4, 5, 3, 6)))) == (
+            "d3ff58ff7b43d490846080fe3c95f24dc655f625ce722543da1e139cc6e38710"
+        )
+        assert digest(values) == (
+            "e4240c3d7b99c97b1a8763f59c8af94a1ab7e9dacb63226c76c8e9cad44a022d"
+        )
