@@ -49,7 +49,6 @@ from .modular import (
     RandomAssignment,
     brute_force_uniqueness,
     count_monomial_terms,
-    det_mod_p,
     instantiate,
     is_prime,
     minor_determinant_check,

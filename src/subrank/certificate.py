@@ -342,20 +342,23 @@ def certificate_to_json(cert: Certificate) -> str:
 
 def certificate_from_json(text: str) -> Certificate:
     doc = json.loads(text)
-    steps = tuple(
-        Step(
-            variable=parse_variable(st["var"]),
-            rows=tuple(tuple(p) for p in st["rows"]),
-            cols=tuple(tuple(c) for c in st["cols"]),
+    try:
+        steps = tuple(
+            Step(
+                variable=parse_variable(st["var"]),
+                rows=tuple(tuple(p) for p in st["rows"]),
+                cols=tuple(tuple(c) for c in st["cols"]),
+            )
+            for st in doc["steps"]
         )
-        for st in doc["steps"]
-    )
-    monomial = tuple(
-        (parse_variable(m["var"]), int(m["power"])) for m in doc["monomial"]
-    )
-    return Certificate(
-        r=int(doc["r"]),
-        dims=tuple(int(n) for n in doc["dims"]),
-        steps=steps,
-        monomial=monomial,
-    )
+        monomial = tuple(
+            (parse_variable(m["var"]), int(m["power"])) for m in doc["monomial"]
+        )
+        return Certificate(
+            r=int(doc["r"]),
+            dims=tuple(int(n) for n in doc["dims"]),
+            steps=steps,
+            monomial=monomial,
+        )
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"malformed certificate JSON: {e!r}") from e

@@ -28,7 +28,7 @@ import numpy as np
 
 from .certificate import Certificate, Verdict
 from .combinatorics import is_admissible
-from .pattern import PatternMatrix, Variable
+from .pattern import PatternMatrix
 
 MERSENNE61 = (1 << 61) - 1
 DEFAULT_PRIME = MERSENNE61
@@ -43,36 +43,42 @@ _M21 = (1 << 21) - 1
 # -- seeded value stream ----------------------------------------------------
 
 
-def _mix64(x: int) -> int:
-    """splitmix64 finalizer; the documented generator behind assignments."""
-    x &= _M64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-    return x ^ (x >> 31)
+def seeded_values(seed: int, start: int, count: int, p: int) -> np.ndarray:
+    """Nonzero residues for items start, ..., start + count - 1 of stream `seed`.
+
+    Item i is 1 + splitmix64(seed + (i + 1) * gamma) mod (p - 1), the
+    counter-based generator of Steele, Lea & Flood (OOPSLA 2014), computed
+    for all items at once in wraparound uint64 arithmetic.  The constants
+    are np.uint64 so no operand is ever promoted to float64.
+    """
+    x = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    x *= np.uint64(0x9E3779B97F4A7C15)
+    x += np.uint64(seed & _M64)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    x %= np.uint64(p - 1)
+    return x + np.uint64(1)
 
 
-def seeded_value(seed: int, index: int, p: int) -> int:
-    """Deterministic nonzero residue for item `index` of stream `seed`."""
-    h = _mix64((seed + (index + 1) * 0x9E3779B97F4A7C15) & _M64)
-    return 1 + h % (p - 1)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomAssignment:
     """Seeded nonzero values for every variable of a pattern.
 
-    Reproducible from (seed, p, variable enumeration order); variables are
-    enumerated in lexicographic (t, s, reduced) order.
+    `values[i]` is the value of variable number i, in the lexicographic
+    (t, s, reduced) order of `PatternMatrix.variables`; it is reproducible
+    from (seed, p).
     """
 
     seed: int
     p: int
-    values: dict[Variable, int]
+    values: np.ndarray  # uint64, one value per variable
 
 
 def random_assignment(pm: PatternMatrix, seed: int, p: int = DEFAULT_PRIME) -> RandomAssignment:
-    values = {v: seeded_value(seed, i, p) for i, v in enumerate(pm.variables)}
-    return RandomAssignment(seed=seed, p=p, values=values)
+    return RandomAssignment(seed, p, seeded_values(seed, 0, len(pm.variables), p))
 
 
 # -- matrices ----------------------------------------------------------------
@@ -87,41 +93,25 @@ class ModularMatrix:
     p: int
     data: np.ndarray  # uint64, shape (n_rows, n_cols), residues reduced
 
-    @classmethod
-    def from_entries(
-        cls, n_rows: int, n_cols: int, p: int,
-        entries: dict[tuple[int, int], int],
-    ) -> "ModularMatrix":
-        data = np.zeros((n_rows, n_cols), dtype=np.uint64)
-        for (i, j), v in entries.items():
-            data[i, j] = v % p
-        return cls(n_rows, n_cols, p, data)
-
-    def nonzero_items(self):
-        """Iterate (i, j, value) over nonzero positions, row-major."""
-        ii, jj = np.nonzero(self.data)
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            yield i, j, int(self.data[i, j])
-
 
 def instantiate(pm: PatternMatrix, assignment: RandomAssignment) -> ModularMatrix:
     """Replace each variable by its assigned residue; zeros stay zero."""
-    missing = [v for v in pm.variables if v not in assignment.values]
-    if missing:
-        raise ValueError(f"assignment misses {len(missing)} variables, e.g. {missing[0]}")
-    p = assignment.p
-    vals = np.array(
-        [assignment.values[v] % p for v in pm.variables] or [0], dtype=np.uint64
-    )
+    values, p = assignment.values, assignment.p
+    if len(values) != len(pm.variables):
+        raise ValueError(
+            f"assignment has {len(values)} values but the pattern has "
+            f"{len(pm.variables)} variables"
+        )
     data = np.zeros((pm.n_rows, pm.n_cols), dtype=np.uint64)
-    data[pm.entry_rows, pm.entry_cols] = vals[pm.entry_vars]
+    data[pm.entry_rows, pm.entry_cols] = (values % np.uint64(p))[pm.entry_vars]
     return ModularMatrix(pm.n_rows, pm.n_cols, p, data)
 
 
 def modular_to_coordinate_list(mm: ModularMatrix) -> str:
     """ASCII export: "nRows nCols nnz" header, then 1-based "i j v" lines."""
-    items = list(mm.nonzero_items())
-    lines = [f"{mm.n_rows} {mm.n_cols} {len(items)}"]
+    ii, jj = np.nonzero(mm.data)
+    items = zip(ii.tolist(), jj.tolist(), mm.data[ii, jj].tolist())
+    lines = [f"{mm.n_rows} {mm.n_cols} {len(ii)}"]
     lines += [f"{i + 1} {j + 1} {v}" for i, j, v in items]
     return "\n".join(lines) + "\n"
 
@@ -142,31 +132,19 @@ def _fold61(x: np.ndarray) -> np.ndarray:
     return np.where(x >= _M61, x - _M61, x)
 
 
-def _scalar_mulmod_m61(f: int, v: np.ndarray) -> np.ndarray:
-    """(f * v) mod (2^61 - 1) for 0 <= f < p and v < p elementwise."""
-    f1, f0 = f >> 31, f & _M31
-    v1 = v >> np.uint64(31)
-    v0 = v & np.uint64(_M31)
-    hi2 = np.uint64(2 * f1) * v1                      # 2 * f1*v1 < 2^61
-    mid = np.uint64(f1) * v0 + np.uint64(f0) * v1     # < 2^62
+def _mulmod_m61(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(x * y) mod (2^61 - 1) elementwise, broadcasting, both operands < p.
+
+    Pass the smaller operand (a scalar or a column) as x: its high limb is
+    the one shifted."""
+    x1, x0 = x >> np.uint64(31), x & np.uint64(_M31)
+    y1, y0 = y >> np.uint64(31), y & np.uint64(_M31)
+    hi2 = (x1 << np.uint64(1)) * y1                   # 2 * x1*y1 < 2^61
+    mid = x1 * y0 + x0 * y1                           # < 2^62
     midr = (mid >> np.uint64(30)) + ((mid & np.uint64(_M30)) << np.uint64(31))
-    low = np.uint64(f0) * v0                          # < 2^62
+    low = x0 * y0                                     # < 2^62
     lowr = (low & np.uint64(_M61)) + (low >> np.uint64(61))
     return _fold61(hi2 + midr + lowr)                 # sum < 2^63
-
-
-def _outer_mulmod_m61(f: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(f[:, None] * v[None, :]) mod (2^61 - 1), both operands < p."""
-    f1 = (f >> np.uint64(31))[:, None]
-    f0 = (f & np.uint64(_M31))[:, None]
-    v1 = (v >> np.uint64(31))[None, :]
-    v0 = (v & np.uint64(_M31))[None, :]
-    hi2 = (f1 * v1) << np.uint64(1)
-    mid = f1 * v0 + f0 * v1
-    midr = (mid >> np.uint64(30)) + ((mid & np.uint64(_M30)) << np.uint64(31))
-    low = f0 * v0
-    lowr = (low & np.uint64(_M61)) + (low >> np.uint64(61))
-    return _fold61(hi2 + midr + lowr)
 
 
 def _submod_m61(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -215,7 +193,7 @@ def _matmul_mod_m61(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _fold61(acc)                                  # acc < 2^62.1
 
 
-# -- rank / determinant kernels ------------------------------------------------
+# -- rank kernels ----------------------------------------------------------------
 
 
 def _rank_python(rows: list[list[int]], p: int, reverse_cols: bool = False) -> int:
@@ -243,28 +221,6 @@ def _rank_python(rows: list[list[int]], p: int, reverse_cols: bool = False) -> i
     return rank
 
 
-def _det_python(rows: list[list[int]], p: int) -> int:
-    """Determinant of a square matrix over F_p by elimination."""
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] % p), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det = (det * rows[c][c]) % p
-        inv = pow(rows[c][c] % p, -1, p)
-        for i in range(c + 1, n):
-            f = (rows[i][c] * inv) % p
-            if f:
-                pr = rows[c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pr)]
-    return det % p
-
-
 def _rank_m61_blocked(a: np.ndarray, panel: int = 128) -> int:
     """Rank mod 2^61-1 by blocked Gaussian elimination.
 
@@ -283,7 +239,7 @@ def _rank_m61_blocked(a: np.ndarray, panel: int = 128) -> int:
         c1 = min(c0 + panel, n)
         g0 = rank
         piv_cols: list[int] = []
-        invs: list[int] = []
+        invs: list[np.uint64] = []
         for c in range(c0, c1):
             nz = np.nonzero(a[rank:, c])[0]
             if nz.size == 0:
@@ -291,10 +247,10 @@ def _rank_m61_blocked(a: np.ndarray, panel: int = 128) -> int:
             piv = rank + int(nz[0])
             if piv != rank:
                 a[[rank, piv]] = a[[piv, rank]]
-            inv = pow(int(a[rank, c]), -1, _M61)
+            inv = np.uint64(pow(int(a[rank, c]), -1, _M61))
             invs.append(inv)
             piv_cols.append(c)
-            a[rank, c:c1] = _scalar_mulmod_m61(inv, a[rank, c:c1])
+            a[rank, c:c1] = _mulmod_m61(inv, a[rank, c:c1])
             if c + 1 < c1 and rank + 1 < m:
                 col = a[rank + 1:, c]
                 nz = np.nonzero(col)[0]
@@ -303,13 +259,13 @@ def _rank_m61_blocked(a: np.ndarray, panel: int = 128) -> int:
                     # (zero factors subtract zero).
                     a[rank + 1:, c + 1:c1] = _submod_m61(
                         a[rank + 1:, c + 1:c1],
-                        _outer_mulmod_m61(col, a[rank, c + 1:c1]),
+                        _mulmod_m61(col[:, None], a[rank, c + 1:c1]),
                     )
                 elif nz.size:
                     below = rank + 1 + nz
                     a[below[:, None], np.arange(c + 1, c1)[None, :]] = _submod_m61(
                         a[below, c + 1:c1],
-                        _outer_mulmod_m61(a[below, c], a[rank, c + 1:c1]),
+                        _mulmod_m61(a[below, c][:, None], a[rank, c + 1:c1]),
                     )
             rank += 1
             if rank == m:
@@ -332,7 +288,7 @@ def _rank_m61_blocked(a: np.ndarray, panel: int = 128) -> int:
                 if i:
                     acc = _matmul_mod_m61(lower[i : i + 1, :i], linv[:i])[0]
                     e = _submod_m61(e, acc)
-                linv[i] = _scalar_mulmod_m61(invs[i], e)
+                linv[i] = _mulmod_m61(invs[i], e)
             for s0 in range(c1, n, _STRIP):
                 s = slice(s0, s0 + _STRIP)
                 u = _matmul_mod_m61(linv, a[g0:rank, s])
@@ -348,18 +304,6 @@ def rank_mod_p(mm: ModularMatrix) -> int:
     if mm.p == MERSENNE61:
         return _rank_m61_blocked(mm.data)
     return _rank_python(mm.data.tolist(), mm.p)
-
-
-def det_mod_p(mm: ModularMatrix) -> int:
-    """Determinant over F_p of a square matrix; empty determinant is 1."""
-    if mm.n_rows != mm.n_cols:
-        raise ValueError(f"determinant needs a square matrix, got {mm.n_rows}x{mm.n_cols}")
-    if mm.n_rows == 0:
-        return 1
-    if mm.n_rows > 400 and mm.p == MERSENNE61:
-        # Large case: only zero/nonzero is ever consumed.
-        return 1 if _rank_m61_blocked(mm.data) == mm.n_rows else 0
-    return _det_python(mm.data.tolist(), mm.p)
 
 
 # -- verification operations ---------------------------------------------------
@@ -411,7 +355,8 @@ def minor_determinant_check(
     assignment: RandomAssignment | None = None,
 ) -> Verdict:
     """Evaluate the square minor on all rows and the certificate's crossed
-    columns at a seeded random point; ok iff its determinant is nonzero.
+    columns at a seeded random point; ok iff it has full rank, that is, a
+    nonzero determinant.
 
     `assignment` overrides the seeded values (negative controls)."""
     cols = _certificate_columns(pm, cert)
@@ -427,10 +372,12 @@ def minor_determinant_check(
         assignment = random_assignment(pm, seed, p)
     mm = instantiate(pm, assignment)
     minor = ModularMatrix(pm.n_rows, pm.n_rows, p, mm.data[:, cols])
-    det = det_mod_p(minor)
-    if det == 0:
-        return Verdict(False, f"minor determinant vanished mod {p} at seed {seed}")
-    return Verdict(True, f"minor determinant {det} != 0 mod {p}")
+    rank = rank_mod_p(minor)
+    if rank < pm.n_rows:
+        return Verdict(
+            False, f"minor is singular mod {p} at seed {seed}: rank {rank} < {pm.n_rows}"
+        )
+    return Verdict(True, f"minor has full rank {rank} mod {p}")
 
 
 def count_monomial_terms(
@@ -528,13 +475,11 @@ def subspace_dimension_oracle(
     stream = 0
     for t in range(1, k + 1):
         for s in range(1, dims[t - 1] - r + 1):
-            values = {}
-            for w in reduced_grid:
-                values[w] = seeded_value(seed, stream, p)
-                stream += 1
+            values = seeded_values(seed, stream, len(reduced_grid), p)
+            stream += len(reduced_grid)
             for m in range(1, r + 1):
                 vec = np.zeros(ambient, dtype=np.uint64)
-                for w, val in values.items():
+                for w, val in zip(reduced_grid, values):
                     c = w[: t - 1] + (m,) + w[t - 1:]
                     vec[coord_index(c)] = val
                 slice_vectors.append(vec)

@@ -143,9 +143,6 @@ class PatternMatrix:
             return None
         return Variable(t=t, s=s, reduced=p[: t - 1] + p[t:])
 
-    def variable_index(self, v: Variable) -> int | None:
-        return self.var_pos.get(v)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PatternMatrix):
             return NotImplemented
@@ -208,17 +205,20 @@ def pattern_to_json(pm: PatternMatrix) -> str:
 def pattern_from_json(text: str) -> PatternMatrix:
     """Rebuild a pattern from its JSON form, cross-checking every entry."""
     doc = json.loads(text)
-    pm = build_pattern(int(doc["r"]), tuple(int(n) for n in doc["dims"]))
-    rows = [tuple(p) for p in doc["rows"]]
-    cols = [tuple(c) for c in doc["cols"]]
+    try:
+        r, dims = int(doc["r"]), tuple(int(n) for n in doc["dims"])
+        rows = [tuple(p) for p in doc["rows"]]
+        cols = [tuple(c) for c in doc["cols"]]
+        entries = [((int(e["row"]), int(e["col"])), parse_variable(e["var"]))
+                   for e in doc["entries"]]
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"malformed pattern JSON: {e!r}") from e
+    pm = build_pattern(r, dims)
     if rows != list(pm.rows) or cols != list(pm.cols):
         raise ValueError("row/column labels disagree with the stated r and dims")
-    if len(doc["entries"]) != pm.nnz:
-        raise ValueError(f"entry list has {len(doc['entries'])} entries, expected {pm.nnz}")
-    listed = {
-        (int(e["row"]), int(e["col"])): parse_variable(e["var"])
-        for e in doc["entries"]
-    }
+    if len(entries) != pm.nnz:
+        raise ValueError(f"entry list has {len(entries)} entries, expected {pm.nnz}")
+    listed = dict(entries)
     actual = {(i, j): pm.variables[vi] for i, j, vi in _entries(pm)}
     if listed != actual:
         raise ValueError("entry list disagrees with the stated r and dims")

@@ -216,3 +216,13 @@ class TestCertificateJson:
         pm = build_pattern(2, (3, 3, 3))
         cert = find_certificate(pm)
         assert certificate_from_json(certificate_to_json(cert)) == cert
+
+    @pytest.mark.parametrize("text", [
+        "[]",
+        "{}",
+        '{"r": 3, "dims": [4, 4, 4], "steps": [{"var": 7, "rows": [], "cols": []}],'
+        ' "monomial": []}',
+    ])
+    def test_malformed_structure_rejected(self, text):
+        with pytest.raises(ValueError, match="malformed certificate JSON"):
+            certificate_from_json(text)

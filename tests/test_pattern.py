@@ -246,6 +246,15 @@ class TestSerialization:
             with pytest.raises(ValueError):
                 pattern_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("text", [
+        '{"r": 3}',
+        "[]",
+        '{"r": 3, "dims": [4, 4, 4], "rows": 5, "cols": [], "entries": []}',
+    ])
+    def test_json_malformed_structure_rejected(self, text):
+        with pytest.raises(ValueError, match="malformed pattern JSON"):
+            pattern_from_json(text)
+
     @pytest.mark.parametrize("text", ["", "\n"])
     def test_coordinate_list_without_header_rejected(self, text):
         with pytest.raises(ValueError, match="missing header"):
