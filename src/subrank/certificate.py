@@ -144,12 +144,9 @@ def cross_block(
         for shift in range(r):
             rep = act(shift, base, r)
             v = Variable(t=t, s=s, reduced=rep[: t - 1] + rep[t:])
-            vi = pm.var_pos.get(v)
-            if vi is None:
-                continue
             live = [
                 (i, j)
-                for i, j in pm.var_occ(vi)
+                for i, j in pm.var_occ(v)
                 if i not in state.crossed_row_idx and j not in state.crossed_col_idx
             ]
             if not live:
@@ -277,14 +274,10 @@ def validate(pm: PatternMatrix, cert: Certificate) -> Verdict:
         if v in seen:
             return Verdict(False, f"variable {v} appears in two steps", idx)
         seen.add(v)
-        vi = pm.var_pos.get(v)
-        if vi is None:
+        occ = pm.var_occ(v)
+        if not occ:
             return Verdict(False, f"unknown variable {v}", idx)
-        live = [
-            (i, j)
-            for i, j in pm.var_occ(vi)
-            if i not in crossed_rows and j not in crossed_cols
-        ]
+        live = [(i, j) for i, j in occ if i not in crossed_rows and j not in crossed_cols]
         if not live:
             return Verdict(False, f"variable {v} has no live occurrence", idx)
         live_rows = [i for i, _ in live]

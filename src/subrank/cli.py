@@ -17,12 +17,7 @@ import json
 import os
 import sys
 
-from .certificate import (
-    TooFewColumnsError,
-    certificate_to_json,
-    find_certificate,
-    validate,
-)
+from .certificate import certificate_to_json, find_certificate, validate
 from .combinatorics import count_rows
 from .formulas import classify, dim_C_r, generic_subrank, pattern_col_count
 from .modular import (
@@ -264,9 +259,6 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", 0) is None:  # --seed omitted: use SUBRANK_SEED
             args.seed = _default_seed()
         return args.func(args)
-    except TooFewColumnsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -67,8 +67,8 @@ def seeded_values(seed: int, start: int, count: int, p: int) -> np.ndarray:
 class RandomAssignment:
     """Seeded nonzero values for every variable of a pattern.
 
-    `values[i]` is the value of variable number i, in the lexicographic
-    (t, s, reduced) order of `PatternMatrix.variables`; it is reproducible
+    `values[i]` is the value of variable number i as `PatternMatrix.entry_vars`
+    numbers them, in lexicographic (t, s, reduced) order; it is reproducible
     from (seed, p).
     """
 
@@ -78,7 +78,7 @@ class RandomAssignment:
 
 
 def random_assignment(pm: PatternMatrix, seed: int, p: int = DEFAULT_PRIME) -> RandomAssignment:
-    return RandomAssignment(seed, p, seeded_values(seed, 0, len(pm.variables), p))
+    return RandomAssignment(seed, p, seeded_values(seed, 0, pm.n_vars, p))
 
 
 # -- matrices ----------------------------------------------------------------
@@ -97,10 +97,10 @@ class ModularMatrix:
 def instantiate(pm: PatternMatrix, assignment: RandomAssignment) -> ModularMatrix:
     """Replace each variable by its assigned residue; zeros stay zero."""
     values, p = assignment.values, assignment.p
-    if len(values) != len(pm.variables):
+    if len(values) != pm.n_vars:
         raise ValueError(
             f"assignment has {len(values)} values but the pattern has "
-            f"{len(pm.variables)} variables"
+            f"{pm.n_vars} variables"
         )
     data = np.zeros((pm.n_rows, pm.n_cols), dtype=np.uint64)
     data[pm.entry_rows, pm.entry_cols] = (values % np.uint64(p))[pm.entry_vars]
@@ -358,7 +358,8 @@ def minor_determinant_check(
     columns at a seeded random point; ok iff it has full rank, that is, a
     nonzero determinant.
 
-    `assignment` overrides the seeded values (negative controls)."""
+    `assignment` overrides the seeded values (negative controls); its
+    prime and seed then replace `p` and `seed`."""
     cols = _certificate_columns(pm, cert)
     if len(cols) != pm.n_rows:
         return Verdict(
@@ -370,6 +371,7 @@ def minor_determinant_check(
         return Verdict(False, "certificate columns are not pairwise distinct")
     if assignment is None:
         assignment = random_assignment(pm, seed, p)
+    p, seed = assignment.p, assignment.seed
     mm = instantiate(pm, assignment)
     minor = ModularMatrix(pm.n_rows, pm.n_rows, p, mm.data[:, cols])
     rank = rank_mod_p(minor)

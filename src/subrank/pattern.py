@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +50,12 @@ def parse_variable(label: str) -> Variable:
 
 
 class PatternMatrix:
-    """Immutable sparse symbolic matrix plus row/column/variable indexes.
+    """Immutable sparse symbolic matrix plus row and column indexes.
 
     Entries are three parallel integer arrays sorted by row, then column,
-    computed from the entry rule; one stable argsort of `entry_vars` indexes
-    the occurrences of each variable.
+    computed from the entry rule.  Variables are numbered in lexicographic
+    (t, s, reduced) order; nothing is stored per variable, since `entry`
+    and `var_occ` derive a variable's entries from the rule.
     """
 
     def __init__(self, r: int, dims: tuple[int, ...]):
@@ -87,33 +89,24 @@ class PatternMatrix:
         rows = np.array(self.rows, dtype=np.intp).reshape(-1, k)
         place = r ** np.arange(k - 2, -1, -1)
         col_blocks, var_blocks = [], []
-        variables: list[Variable] = []
-        col0 = 0
+        n_vars = col0 = 0
         for t in range(1, k + 1):
             slots = dims[t - 1] - r
-            w = np.delete(rows, t - 1, axis=1)
             # Base-r codes of w sort like w, so unique numbers the reduced
             # tuples in lexicographic order and the variables come out in
             # (t, s, w) order, which seeded assignments depend on.
-            _, first, w_num = np.unique(
-                (w - 1) @ place, return_index=True, return_inverse=True
+            codes, w_num = np.unique(
+                (np.delete(rows, t - 1, axis=1) - 1) @ place, return_inverse=True
             )
             s = np.arange(slots)  # s - 1 for the slots s = 1..n_t - r
             col_blocks.append(col0 + (rows[:, [t - 1]] - 1) * slots + s)
-            var_blocks.append(len(variables) + s * len(first) + w_num.reshape(-1, 1))
-            reduced = [tuple(x) for x in w[first].tolist()]
-            variables += [Variable(t, si, x) for si in range(1, slots + 1) for x in reduced]
+            var_blocks.append(n_vars + s * len(codes) + w_num.reshape(-1, 1))
+            n_vars += slots * len(codes)
             col0 += r * slots
-        self.variables: tuple[Variable, ...] = tuple(variables)
-        self.var_pos = {v: vi for vi, v in enumerate(self.variables)}
+        self.n_vars = n_vars
         self.entry_cols = np.hstack(col_blocks).ravel()
         self.entry_vars = np.hstack(var_blocks).ravel()
         self.entry_rows = np.repeat(np.arange(len(rows)), sum(dims) - k * r)
-        # Entry numbers grouped by variable, in row order within a group.
-        self._occ_order = np.argsort(self.entry_vars, kind="stable")
-        self._occ_start = np.searchsorted(
-            self.entry_vars[self._occ_order], np.arange(len(variables) + 1)
-        )
 
     # -- basic facts ------------------------------------------------------
 
@@ -129,10 +122,25 @@ class PatternMatrix:
     def nnz(self) -> int:
         return len(self.entry_rows)
 
-    def var_occ(self, vi: int) -> list[tuple[int, int]]:
-        """(row index, column index) of every occurrence of variable vi, by row."""
-        at = self._occ_order[self._occ_start[vi] : self._occ_start[vi + 1]]
-        return list(zip(self.entry_rows[at].tolist(), self.entry_cols[at].tolist()))
+    def var_occ(self, v: Variable) -> list[tuple[int, int]]:
+        """(row index, column index) of every occurrence of v, by row.
+
+        By the entry rule, v = a^{t,s}_w sits at row w with m inserted at
+        position t and column (t, m, s), for each m in [r] that makes the
+        row admissible.  Empty when v is not a variable of this matrix.
+        """
+        t, s, w = v.t, v.s, v.reduced
+        j = self.col_pos.get((t, 1, s))  # None unless t in [k], s in [n_t - r]
+        if j is None:
+            return []
+        stride = self.dims[t - 1] - self.r
+        head, tail, get = w[: t - 1], w[t - 1 :], self.row_pos.get
+        occ = []
+        for m in range(1, self.r + 1):
+            i = get((*head, m, *tail))
+            if i is not None:
+                occ.append((i, j + (m - 1) * stride))
+        return occ
 
     def entry(self, p: tuple[int, ...], c: tuple[int, int, int]) -> Variable | None:
         """Variable at row p, column c = (t, m, s); None where the matrix is zero."""
@@ -173,18 +181,16 @@ def occurrences(
     Positions of one variable have pairwise distinct rows and pairwise
     distinct columns.  Unknown variables give the empty set.
     """
-    vi = pm.var_pos.get(v)
-    if vi is None:
-        return set()
-    return {(pm.rows[i], pm.cols[j]) for i, j in pm.var_occ(vi)}
+    return {(pm.rows[i], pm.cols[j]) for i, j in pm.var_occ(v)}
 
 
 # -- serialization ---------------------------------------------------------
 
 
-def _entries(pm: PatternMatrix) -> zip[tuple[int, int, int]]:
-    """(row, column, variable) index triples as Python ints, row-major."""
-    return zip(pm.entry_rows.tolist(), pm.entry_cols.tolist(), pm.entry_vars.tolist())
+def _entries(pm: PatternMatrix) -> Iterator[tuple[int, int, Variable]]:
+    """(row index, column index, variable) of every nonzero, row-major."""
+    for i, j in zip(pm.entry_rows.tolist(), pm.entry_cols.tolist()):
+        yield i, j, pm.entry(pm.rows[i], pm.cols[j])
 
 
 def pattern_to_json(pm: PatternMatrix) -> str:
@@ -195,8 +201,7 @@ def pattern_to_json(pm: PatternMatrix) -> str:
         "rows": [list(p) for p in pm.rows],
         "cols": [list(c) for c in pm.cols],
         "entries": [
-            {"row": i, "col": j, "var": pm.variables[vi].label}
-            for i, j, vi in _entries(pm)
+            {"row": i, "col": j, "var": v.label} for i, j, v in _entries(pm)
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=False)
@@ -219,7 +224,7 @@ def pattern_from_json(text: str) -> PatternMatrix:
     if len(entries) != pm.nnz:
         raise ValueError(f"entry list has {len(entries)} entries, expected {pm.nnz}")
     listed = dict(entries)
-    actual = {(i, j): pm.variables[vi] for i, j, vi in _entries(pm)}
+    actual = {(i, j): v for i, j, v in _entries(pm)}
     if listed != actual:
         raise ValueError("entry list disagrees with the stated r and dims")
     return pm
@@ -229,8 +234,8 @@ def pattern_to_coordinate_list(pm: PatternMatrix) -> str:
     """Newline-delimited ASCII form: "nRows nCols nnz" header, then one
     "rowIdx colIdx varName" line per nonzero (1-based indices)."""
     lines = [f"{pm.n_rows} {pm.n_cols} {pm.nnz}"]
-    for i, j, vi in _entries(pm):
-        lines.append(f"{i + 1} {j + 1} {pm.variables[vi].label}")
+    for i, j, v in _entries(pm):
+        lines.append(f"{i + 1} {j + 1} {v.label}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from subrank.certificate import (
@@ -181,9 +183,12 @@ class TestValidate:
     def test_unknown_variable_fails(self):
         pm, cert = self.make_valid()
         st = cert.steps[0]
-        steps = (Step(Variable(1, 7, (2, 3)), st.rows, st.cols),) + cert.steps[1:]
-        bad = Certificate(cert.r, cert.dims, steps, cert.monomial)
-        assert not validate(pm, bad).ok
+        for v in [Variable(1, 7, (2, 3)), Variable(0, 1, (2, 3))]:
+            steps = (Step(v, st.rows, st.cols),) + cert.steps[1:]
+            verdict = validate(pm, Certificate(cert.r, cert.dims, steps, cert.monomial))
+            assert not verdict.ok
+            assert verdict.detail == f"unknown variable {v}"
+            assert verdict.first_failing_step == 0
 
     def test_truncated_certificate_fails(self):
         pm, cert = self.make_valid()
@@ -216,6 +221,20 @@ class TestCertificateJson:
         pm = build_pattern(2, (3, 3, 3))
         cert = find_certificate(pm)
         assert certificate_from_json(certificate_to_json(cert)) == cert
+
+    @pytest.mark.parametrize(
+        "r,dims,digest",
+        [
+            (4, (7, 6, 6), "9068ba573799287dc20a08c99f3f622f237bb647ce4c60e0ded884621c948c44"),
+            (3, (8, 8, 8, 8), "cf8b2fccbd3959820bc52b5e069ec21429616d8268839f729aa1853b545a2a08"),
+            (6, (13, 13, 12), "fcb9ed6d2b2bca8b93c8410232b77018f309984c2d34eef0b68776980e2a758c"),
+            (2, (4, 4, 4, 4, 4), "f1a9d2bf6ac6c3b238934dcb55aff9b6e6a799de4111142fe7c23402e6769c9a"),
+        ],
+    )
+    def test_search_output_is_byte_stable(self, r, dims, digest):
+        # Pinned so the search output cannot drift with how occurrences are found.
+        text = certificate_to_json(find_certificate(build_pattern(r, dims)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("text", [
         "[]",

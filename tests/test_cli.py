@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_matches_main(self, capsys):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "subrank", "q", "--dims", "6,6,6"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=60,
+        )
+        code, out, _ = run(capsys, "q", "--dims", "6,6,6")
+        assert (proc.returncode, proc.stdout) == (code, out)
 
 
 class TestQ:

@@ -45,7 +45,7 @@ class TestAssignments:
         a1 = random_assignment(pm, seed=7)
         a2 = random_assignment(pm, seed=7)
         assert a1.values.dtype == np.uint64
-        assert len(a1.values) == len(pm.variables)
+        assert len(a1.values) == pm.n_vars
         assert np.array_equal(a1.values, a2.values)
         assert all(1 <= v < MERSENNE61 for v in a1.values.tolist())
 
@@ -80,13 +80,13 @@ class TestInstantiate:
 
     def test_all_ones_assignment_row_sums(self):
         pm = build_pattern(4, (6, 6, 6))
-        ones = RandomAssignment(seed=0, p=MERSENNE61, values=np.ones(len(pm.variables), np.uint64))
+        ones = RandomAssignment(seed=0, p=MERSENNE61, values=np.ones(pm.n_vars, np.uint64))
         mm = instantiate(pm, ones)
         assert mm.data.sum(axis=1).tolist() == [6] * 24
 
     def test_missing_variable_rejected(self):
         pm = build_pattern(4, (6, 6, 6))
-        n = len(pm.variables)
+        n = pm.n_vars
         for size in (n - 1, n + 1):
             values = np.ones(size, np.uint64)
             with pytest.raises(ValueError, match=f"has {size} values but the pattern has {n} "):
@@ -243,13 +243,21 @@ class TestMinorDeterminant:
         cert = find_certificate(pm)
         base = random_assignment(pm, 0)
         values = base.values.copy()
-        row = pm.rows[0]
-        for t in (1, 2, 3):
-            for s in (1, 2):
-                values[pm.var_pos[pm.entry(row, (t, row[t - 1], s))]] = 0
+        values[pm.entry_vars[pm.entry_rows == 0]] = 0  # every variable of row 0
         zeroed = RandomAssignment(seed=0, p=MERSENNE61, values=values)
         verdict = minor_determinant_check(pm, cert, assignment=zeroed)
         assert not verdict.ok
+
+    def test_assignment_prime_and_seed_are_used(self):
+        pm = build_pattern(4, (6, 6, 6))
+        cert = find_certificate(pm)
+        mod3 = minor_determinant_check(pm, cert, assignment=random_assignment(pm, 0, 3))
+        assert not mod3.ok
+        assert "mod 3 " in mod3.detail and "rank 22 < 24" in mod3.detail
+        ones = RandomAssignment(seed=5, p=MERSENNE61, values=np.ones(pm.n_vars, np.uint64))
+        verdict = minor_determinant_check(pm, cert, assignment=ones)
+        assert not verdict.ok
+        assert "at seed 5:" in verdict.detail
 
     def test_empty_minor_ok_by_convention(self):
         pm = build_pattern(2, (3, 3, 3))

@@ -100,7 +100,10 @@ class TestBuild:
         assert np.array_equal(a.entry_rows, b.entry_rows)
         assert np.array_equal(a.entry_cols, b.entry_cols)
         assert np.array_equal(a.entry_vars, b.entry_vars)
-        assert a.variables == b.variables
+        assert a.n_vars == b.n_vars
+        assert [a.entry(p, c) for p in a.rows for c in a.cols] == [
+            b.entry(p, c) for p in b.rows for c in b.cols
+        ]
 
     @pytest.mark.parametrize(
         "r,dims",
@@ -117,12 +120,12 @@ class TestBuild:
         for array, want in zip(got, (rows, cols, vars_)):
             assert array.dtype.kind == "i"
             assert array.tolist() == want
-        assert pm.variables == variables
-        assert pm.var_pos == {v: vi for vi, v in enumerate(variables)}
+        assert pm.n_vars == len(variables)
         occ = [[] for _ in variables]
         for i, j, vi in zip(rows, cols, vars_):
+            assert pm.entry(pm.rows[i], pm.cols[j]) == variables[vi]
             occ[vi].append((i, j))
-        assert [pm.var_occ(vi) for vi in range(len(variables))] == occ
+        assert [pm.var_occ(v) for v in variables] == occ
 
 
 class TestEntries:
@@ -150,7 +153,8 @@ class TestEntries:
         cols = np.array(pm.cols)
         t, m = cols[pm.entry_cols, 0], cols[pm.entry_cols, 1]
         assert np.array_equal(rows[pm.entry_rows, t - 1], m)
-        assert np.array_equal([pm.variables[vi].t for vi in pm.entry_vars], t)
+        variables = reference_entries(3, (5, 4, 4))[3]
+        assert [variables[vi].t for vi in pm.entry_vars.tolist()] == t.tolist()
 
     def test_one_nonzero_per_row_and_slot_pair(self):
         pm = build_pattern(3, (5, 4, 4))
@@ -168,7 +172,7 @@ class TestOccurrences:
         pm = build_pattern(4, (6, 6, 6))
         occ = occurrences(pm, Variable(1, 1, (2, 3)))
         assert occ == {((1, 2, 3), (1, 1, 1)), ((4, 2, 3), (1, 4, 1))}
-        for v in pm.variables:
+        for v in reference_entries(4, (6, 6, 6))[3]:
             assert len(occurrences(pm, v)) == 2
 
     def test_blocks_example_occurrences_at_r5(self):
@@ -180,7 +184,7 @@ class TestOccurrences:
     @pytest.mark.parametrize("r", range(3, 8))
     def test_k3_occurrence_count_is_r_minus_2(self, r):
         pm = build_pattern(r, (r + 1, r + 1, r + 1))
-        for v in pm.variables:
+        for v in reference_entries(r, (r + 1, r + 1, r + 1))[3]:
             occ = occurrences(pm, v)
             assert len(occ) == r - 2
             assert len({row for row, _ in occ}) == r - 2
@@ -188,7 +192,18 @@ class TestOccurrences:
 
     def test_unknown_variable_empty(self):
         pm = build_pattern(4, (6, 6, 6))
-        assert occurrences(pm, Variable(1, 9, (2, 3))) == set()
+        for v in [
+            Variable(1, 9, (2, 3)),  # s beyond n_t - r
+            Variable(0, 1, (2, 3)),  # t = 0
+            Variable(4, 1, (2, 3)),  # t = k + 1
+            Variable(1, 0, (2, 3)),  # s = 0
+            Variable(1, 1, (2,)),  # reduced tuple too short
+            Variable(1, 1, (2, 3, 1)),  # reduced tuple too long
+            Variable(1, 1, (2, 5)),  # coordinate outside [r]
+            Variable(2, 1, (0, 3)),  # coordinate outside [r]
+            Variable(1, 1, (1, 1)),  # no m makes (m, 1, 1) admissible
+        ]:
+            assert occurrences(pm, v) == set(), v
 
 
 class TestVariableLabels:
@@ -219,10 +234,8 @@ class TestSerialization:
         assert len(lines) == 145
         n_rows, n_cols, entries = parse_coordinate_list(text)
         assert (n_rows, n_cols, len(entries)) == (24, 24, 144)
-        want = {
-            (i, j, pm.variables[vi])
-            for i, j, vi in zip(pm.entry_rows, pm.entry_cols, pm.entry_vars)
-        }
+        rows, cols, vars_, variables = reference_entries(4, (6, 6, 6))
+        want = {(i, j, variables[vi]) for i, j, vi in zip(rows, cols, vars_)}
         assert set(entries) == want
 
     def test_json_round_trip(self):
