@@ -2,7 +2,7 @@
 
 Subcommands: q (closed-form generic subrank), certificate (find and write a
 crossing certificate), verify (modular rank trials), dim (locus dimension,
-optionally cross-checked against the spanning-set oracle), table (Q table
+optionally cross-checked against the pattern-rank oracle), table (Q table
 as CSV, optionally verified), export (pattern or instantiated matrix).
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage or regime
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dim", help="dimension of the subrank->=r locus")
     add_common(p)
     p.add_argument("--oracle", action="store_true",
-                   help="cross-check against the spanning-set rank oracle")
+                   help="cross-check against the pattern-rank oracle")
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_dim)

@@ -21,13 +21,13 @@ use the plain Python elimination that tests also use as the reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 
 from .certificate import Certificate, Verdict
-from .combinatorics import is_admissible
 from .pattern import PatternMatrix
 
 MERSENNE61 = (1 << 61) - 1
@@ -83,6 +83,10 @@ def random_assignment(pm: PatternMatrix, seed: int, p: int = DEFAULT_PRIME) -> R
 
 # -- matrices ----------------------------------------------------------------
 
+# Largest dense uint64 matrix `instantiate` allocates, in bytes; the rank
+# kernel needs about three times the matrix.
+_DENSE_LIMIT = 1 << 30
+
 
 @dataclass
 class ModularMatrix:
@@ -101,6 +105,12 @@ def instantiate(pm: PatternMatrix, assignment: RandomAssignment) -> ModularMatri
         raise ValueError(
             f"assignment has {len(values)} values but the pattern has "
             f"{pm.n_vars} variables"
+        )
+    size = pm.n_rows * pm.n_cols * 8
+    if size > _DENSE_LIMIT:
+        raise ValueError(
+            f"dense {pm.n_rows} x {pm.n_cols} matrix needs {size / 2**20:.0f} MiB, "
+            f"over the {_DENSE_LIMIT >> 20} MiB limit"
         )
     data = np.zeros((pm.n_rows, pm.n_cols), dtype=np.uint64)
     data[pm.entry_rows, pm.entry_cols] = (values % np.uint64(p))[pm.entry_vars]
@@ -442,57 +452,23 @@ def subspace_dimension_oracle(
     p: int = DEFAULT_PRIME,
     seed: int = 0,
 ) -> int:
-    """Rank of an explicit spanning set for the tangent-space image inside
-    F_p^(n_1*...*n_k): unit vectors outside the [r]^k block and on its
-    diagonal, unit vectors on the inadmissible [r]^k coordinates, and one
-    generic slice vector per (direction, block layer, slot).
+    """Dimension of the tangent-space image inside F_p^(n_1*...*n_k) at a
+    seeded random point, as a rank of the pattern matrix.
 
-    Desk-scale only: the ambient dimension is materialized.
+    The image is spanned by unit vectors on every coordinate except the
+    admissible tuples of [r]^k, plus one generic slice vector per column
+    (t, m, s).  The excluded coordinates are exactly the pattern's rows, and
+    slice vector (t, m, s) restricted to them is pattern column (t, m, s).
+    So the dimension is prod(n_i) - n_rows + rank(instantiate(pm)).
     """
     k = len(dims)
     if k < 3:
         raise ValueError(f"order k must be at least 3, got {k}")
     if not 1 <= r <= min(dims):
         raise ValueError(f"need 1 <= r <= min(dims), got r={r}, dims={dims}")
-    ambient = 1
-    for n in dims:
-        ambient *= n
-    if ambient > 5000:
-        raise ValueError(f"ambient dimension {ambient} exceeds the desk-scale bound")
-
-    def coord_index(c: tuple[int, ...]) -> int:
-        idx = 0
-        for v, n in zip(c, dims):
-            idx = idx * n + (v - 1)
-        return idx
-
-    unit_coords = []
-    for c in product(*(range(1, n + 1) for n in dims)):
-        inside = all(v <= r for v in c)
-        if not inside or not is_admissible(c):
-            unit_coords.append(c)
-
-    slice_vectors = []
-    reduced_grid = list(product(range(1, r + 1), repeat=k - 1))
-    stream = 0
-    for t in range(1, k + 1):
-        for s in range(1, dims[t - 1] - r + 1):
-            values = seeded_values(seed, stream, len(reduced_grid), p)
-            stream += len(reduced_grid)
-            for m in range(1, r + 1):
-                vec = np.zeros(ambient, dtype=np.uint64)
-                for w, val in zip(reduced_grid, values):
-                    c = w[: t - 1] + (m,) + w[t - 1:]
-                    vec[coord_index(c)] = val
-                slice_vectors.append(vec)
-
-    rows = np.zeros((len(unit_coords) + len(slice_vectors), ambient), dtype=np.uint64)
-    for i, c in enumerate(unit_coords):
-        rows[i, coord_index(c)] = 1
-    for i, vec in enumerate(slice_vectors):
-        rows[len(unit_coords) + i] = vec
-    mm = ModularMatrix(rows.shape[0], ambient, p, rows)
-    return rank_mod_p(mm)
+    pm = PatternMatrix(r, dims)
+    mm = instantiate(pm, random_assignment(pm, seed, p))
+    return math.prod(dims) - pm.n_rows + rank_mod_p(mm)
 
 
 # -- primality (CLI input validation) --------------------------------------------

@@ -102,6 +102,13 @@ class TestVerify:
         assert code == 1
         assert "NOT ok" in out
 
+    def test_too_large_for_dense_matrix(self, capsys):
+        code, out, err = run(capsys, "verify", "--dims", "200,200,200", "--r", "24")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "12144 x 12672" in err
+
     def test_composite_prime_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--dims", "6,6,6", "--r", "4", "--prime", "1000"])
@@ -120,6 +127,16 @@ class TestDim:
         code, out, _ = run(capsys, "dim", "--dims", "4,3,3", "--r", "3", "--oracle")
         assert code == 0
         assert "dim = 33" in out
+
+    def test_oracle_r_out_of_range(self, capsys):
+        code, _, err = run(capsys, "dim", "--dims", "3,3,3", "--r", "4", "--oracle")
+        assert code == 2
+        assert err == "error: need 1 <= r <= min(dims), got r=4, dims=(3, 3, 3)\n"
+
+    def test_oracle_too_large_for_dense_matrix(self, capsys):
+        code, _, err = run(capsys, "dim", "--dims", "200,200,200", "--r", "25", "--oracle")
+        assert code == 2
+        assert err.startswith("error: dense 13800 x 13125 matrix")
 
     def test_full_regime(self, capsys):
         code, out, _ = run(capsys, "dim", "--dims", "6,6,6", "--r", "4")

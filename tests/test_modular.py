@@ -1,9 +1,12 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 
 from subrank.certificate import find_certificate, scripted_certificate, validate
+from subrank.combinatorics import is_admissible
+from subrank.formulas import dim_C_r
 from subrank.modular import (
     MERSENNE61,
     ModularMatrix,
@@ -37,6 +40,65 @@ def reference_seeded_value(seed, index, p):
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & m64
     x ^= x >> 31
     return 1 + x % (p - 1)
+
+
+def reference_subspace_dimension_oracle(
+    dims: tuple[int, ...],
+    r: int,
+    p: int = MERSENNE61,
+    seed: int = 0,
+) -> int:
+    """Rank of an explicit spanning set for the tangent-space image inside
+    F_p^(n_1*...*n_k): unit vectors outside the [r]^k block and on its
+    diagonal, unit vectors on the inadmissible [r]^k coordinates, and one
+    generic slice vector per (direction, block layer, slot).
+
+    Desk-scale only: the ambient dimension is materialized.
+    """
+    k = len(dims)
+    if k < 3:
+        raise ValueError(f"order k must be at least 3, got {k}")
+    if not 1 <= r <= min(dims):
+        raise ValueError(f"need 1 <= r <= min(dims), got r={r}, dims={dims}")
+    ambient = 1
+    for n in dims:
+        ambient *= n
+    if ambient > 5000:
+        raise ValueError(f"ambient dimension {ambient} exceeds the desk-scale bound")
+
+    def coord_index(c: tuple[int, ...]) -> int:
+        idx = 0
+        for v, n in zip(c, dims):
+            idx = idx * n + (v - 1)
+        return idx
+
+    unit_coords = []
+    for c in product(*(range(1, n + 1) for n in dims)):
+        inside = all(v <= r for v in c)
+        if not inside or not is_admissible(c):
+            unit_coords.append(c)
+
+    slice_vectors = []
+    reduced_grid = list(product(range(1, r + 1), repeat=k - 1))
+    stream = 0
+    for t in range(1, k + 1):
+        for s in range(1, dims[t - 1] - r + 1):
+            values = seeded_values(seed, stream, len(reduced_grid), p)
+            stream += len(reduced_grid)
+            for m in range(1, r + 1):
+                vec = np.zeros(ambient, dtype=np.uint64)
+                for w, val in zip(reduced_grid, values):
+                    c = w[: t - 1] + (m,) + w[t - 1:]
+                    vec[coord_index(c)] = val
+                slice_vectors.append(vec)
+
+    rows = np.zeros((len(unit_coords) + len(slice_vectors), ambient), dtype=np.uint64)
+    for i, c in enumerate(unit_coords):
+        rows[i, coord_index(c)] = 1
+    for i, vec in enumerate(slice_vectors):
+        rows[len(unit_coords) + i] = vec
+    mm = ModularMatrix(rows.shape[0], ambient, p, rows)
+    return rank_mod_p(mm)
 
 
 class TestAssignments:
@@ -91,6 +153,12 @@ class TestInstantiate:
             values = np.ones(size, np.uint64)
             with pytest.raises(ValueError, match=f"has {size} values but the pattern has {n} "):
                 instantiate(pm, RandomAssignment(seed=0, p=MERSENNE61, values=values))
+
+    def test_dense_size_guard(self):
+        pm = build_pattern(24, (200, 200, 200))  # 12144 x 12672, 1.15 GiB
+        with pytest.raises(ValueError, match=r"12144 x 12672 matrix needs 1174 MiB, "
+                                             r"over the 1024 MiB limit"):
+            instantiate(pm, random_assignment(pm, 0))
 
     def test_matrices_differ_between_seeds(self):
         pm = build_pattern(4, (6, 6, 6))
@@ -355,9 +423,35 @@ class TestSubspaceOracle:
         for seed in (0, 1, 2):
             assert subspace_dimension_oracle((4, 3, 3), 3, seed=seed) == 33
 
-    def test_desk_scale_guard(self):
-        with pytest.raises(ValueError, match="desk-scale"):
-            subspace_dimension_oracle((40, 40, 40), 5)
+    def test_past_old_ambient_bound(self):
+        # 64,000 ambient coordinates: the spanning-set oracle refused these.
+        for r, want in ((5, 64000), (11, 63967)):
+            assert dim_C_r((40, 40, 40), r).dim == want
+            assert subspace_dimension_oracle((40, 40, 40), r) == want
+
+    def test_matches_spanning_set_reference(self):
+        grid = [(dims, r)
+                for k, top in ((3, 6), (4, 4), (5, 3))
+                for dims in product(range(1, top + 1), repeat=k)
+                if dims == tuple(sorted(dims, reverse=True))
+                for r in range(1, min(dims) + 1)]
+        # Patterns without rows, and one without columns.
+        assert {((2, 2, 2), 1), ((3, 3, 3), 2), ((3, 3, 3), 3)} <= set(grid)
+        assert len(grid) == 210
+        for dims, r in grid:
+            for seed in (0, 1):
+                want = reference_subspace_dimension_oracle(dims, r, seed=seed)
+                assert subspace_dimension_oracle(dims, r, seed=seed) == want, (dims, r, seed)
+
+    @pytest.mark.parametrize("p", [10**9 + 7, 3])
+    @pytest.mark.parametrize("dims, r", [((4, 3, 3), 3), ((5, 5, 5), 4), ((4, 4, 4, 4), 3)])
+    def test_matches_reference_at_other_primes(self, dims, r, p):
+        want = reference_subspace_dimension_oracle(dims, r, p)
+        assert subspace_dimension_oracle(dims, r, p) == want
+
+    def test_order_below_three_rejected(self):
+        with pytest.raises(ValueError, match="order k must be at least 3, got 2"):
+            subspace_dimension_oracle((3, 3), 1)
 
 
 class TestIsPrime:
