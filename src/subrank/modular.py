@@ -9,14 +9,19 @@ rank); trials below it are inconclusive and only reported.
 The default prime is the Mersenne prime 2^61 - 1: residues fit in machine
 words, and the per-trial false-negative probability is bounded by
 (#rows)/p, which is negligible at desk scale.  Every rank mod 2^61 - 1 runs
-through one blocked elimination kernel.  It factors panels of columns one
-column at a time, with 31-bit limbs keeping elementwise products inside
-uint64.  The trailing update is a matrix product taken as three float64
-BLAS calls on 21-bit limbs.  It runs in column strips of fixed width, so
-peak memory is about the matrix, its working copy and a few strip-sized
-temporaries.  It skips rows whose multipliers in the panel are all zero,
-which most rows of block-diagonal and unit-vector inputs are.  Other primes
-use the plain Python elimination that tests also use as the reference.
+through one blocked elimination kernel.  It factors each panel of columns
+recursively, after Dumas, Giorgi & Pernet (ACM TOMS 35(3), 2008): a panel
+that is wide and tall enough splits in half, and the left half's pivots
+reach the right half through the same update that later carries the whole
+panel's pivots to the columns right of it.  Only narrow panels are
+eliminated one column at a time, with 31-bit limbs keeping elementwise
+products inside uint64.  The update is a matrix product taken as three
+float64 BLAS calls on 21-bit limbs, and so is the inverse of the pivots'
+lower triangle it needs.  It runs in column strips of fixed width, so peak
+memory is about the matrix, its working copy and a few strip-sized
+temporaries, and it skips rows whose multipliers are all zero, which most
+rows of block-diagonal and unit-vector inputs are.  Other primes use the
+plain Python elimination that tests also use as the reference.
 """
 
 from __future__ import annotations
@@ -136,6 +141,11 @@ def modular_to_coordinate_list(mm: ModularMatrix) -> str:
 # a few (rows x _STRIP) arrays.
 _STRIP = 512
 
+# `_factor` halves a panel wider than _BASE_WIDTH columns with more than
+# _BASE_CELLS entries from its first row down.
+_BASE_WIDTH = 16
+_BASE_CELLS = 1 << 14
+
 
 def _fold61(x: np.ndarray) -> np.ndarray:
     x = (x & _M61) + (x >> np.uint64(61))
@@ -231,78 +241,132 @@ def _rank_python(rows: list[list[int]], p: int, reverse_cols: bool = False) -> i
     return rank
 
 
+def _lower_inverse(lower: np.ndarray, invs: np.ndarray) -> np.ndarray:
+    """L'^-1 mod 2^61-1 for L' = D + N, with N the strictly lower part of
+    `lower` and D^-1 = diag(invs).
+
+    L' = D (I + M) with M = D^-1 N nilpotent, so L'^-1 = (I - M)(I + M^2)
+    (I + M^4)... D^-1, about 2 log2(g) products for g rows.  Above 32 rows
+    L' is split into the block triangle [[L1, 0], [C, L2]], whose inverse
+    has off-diagonal block -L2^-1 C L1^-1."""
+    g = len(invs)
+    if g > 32:
+        h = g // 2
+        inv1 = _lower_inverse(lower[:h, :h], invs[:h])
+        inv2 = _lower_inverse(lower[h:, h:], invs[h:])
+        linv = np.zeros((g, g), dtype=np.uint64)
+        linv[:h, :h] = inv1
+        linv[h:, h:] = inv2
+        off = _matmul_mod_m61(inv2, _matmul_mod_m61(lower[h:, :h], inv1))
+        linv[h:, :h] = _submod_m61(np.zeros_like(off), off)
+        return linv
+    m = _mulmod_m61(invs[:, None], np.tril(lower, -1))
+    eye = np.eye(g, dtype=np.uint64)
+    linv = _submod_m61(eye, m)                           # I - M
+    power, done = m, 2                                   # terms M^0..M^(done-1)
+    while done < g:
+        power = _matmul_mod_m61(power, power)            # M^done, zero diagonal
+        linv = _matmul_mod_m61(linv, eye + power)
+        done *= 2
+    return _mulmod_m61(invs[None, :], linv)
+
+
+def _update(
+    a: np.ndarray, r0: int, piv_cols: list[int], invs: list[np.uint64], c0: int, c1: int
+) -> None:
+    """Apply the pivots in rows r0, r0 + 1, ... at `piv_cols` to columns c0:c1.
+
+    That is A22 -= F (L'^-1 A12): A12 is the pivot rows' part of the columns,
+    L' has the pivot values on its diagonal and the in-place multipliers
+    below it, and F is the multiplier block of the rows below.  Only rows
+    with a nonzero row of F change, which skips most rows of block-diagonal
+    and unit-vector inputs; strips of _STRIP columns bound the temporaries."""
+    if c0 >= c1:
+        return
+    r1 = r0 + len(piv_cols)
+    f = a[r1:, piv_cols]
+    rows = r1 + np.flatnonzero(f.any(axis=1))
+    if rows.size == 0:
+        return
+    f = f[rows - r1]
+    linv = _lower_inverse(a[r0:r1, piv_cols], np.array(invs, dtype=np.uint64))
+    for s0 in range(c0, c1, _STRIP):
+        s = slice(s0, min(s0 + _STRIP, c1))
+        u = _matmul_mod_m61(linv, a[r0:r1, s])
+        a[rows, s] = _submod_m61(a[rows, s], _matmul_mod_m61(f, u))
+
+
+def _factor(a: np.ndarray, r0: int, c0: int, c1: int) -> tuple[list[int], list[np.uint64]]:
+    """Eliminate columns c0:c1 of `a` from row r0 down, in place; return the
+    pivot columns and the inverses of their pivots.
+
+    Rows are swapped whole, but only columns c0:c1 change; each multiplier
+    stays in its pivot column for `_update` to read.  A large panel splits
+    at its midpoint: factor the left half, apply its pivots to the right
+    half, then factor the right half from the next free row.  Small panels
+    are factored one column at a time."""
+    m = a.shape[0]
+    if c1 - c0 > _BASE_WIDTH and (m - r0) * (c1 - c0) > _BASE_CELLS:
+        mid = (c0 + c1) // 2
+        piv_cols, invs = _factor(a, r0, c0, mid)
+        r1 = r0 + len(piv_cols)
+        if r1 < m:
+            _update(a, r0, piv_cols, invs, mid, c1)
+            right_cols, right_invs = _factor(a, r1, mid, c1)
+            piv_cols += right_cols
+            invs += right_invs
+        return piv_cols, invs
+    rank = r0
+    piv_cols = []
+    invs = []
+    for c in range(c0, c1):
+        nz = np.nonzero(a[rank:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            a[[rank, piv]] = a[[piv, rank]]
+        inv = np.uint64(pow(int(a[rank, c]), -1, _M61))
+        invs.append(inv)
+        piv_cols.append(c)
+        a[rank, c:c1] = _mulmod_m61(inv, a[rank, c:c1])
+        if c + 1 < c1 and rank + 1 < m:
+            col = a[rank + 1:, c]
+            nz = np.nonzero(col)[0]
+            if 4 * nz.size >= col.size:
+                # Dense column: contiguous update beats gather/scatter
+                # (zero factors subtract zero).
+                a[rank + 1:, c + 1:c1] = _submod_m61(
+                    a[rank + 1:, c + 1:c1],
+                    _mulmod_m61(col[:, None], a[rank, c + 1:c1]),
+                )
+            elif nz.size:
+                below = rank + 1 + nz
+                a[below[:, None], np.arange(c + 1, c1)[None, :]] = _submod_m61(
+                    a[below, c + 1:c1],
+                    _mulmod_m61(a[below, c][:, None], a[rank, c + 1:c1]),
+                )
+        rank += 1
+        if rank == m:
+            break
+    return piv_cols, invs
+
+
 def _rank_m61_blocked(a: np.ndarray, panel: int = 128) -> int:
     """Rank mod 2^61-1 by blocked Gaussian elimination.
 
-    Each panel of `panel` columns is factored column by column; the
-    multipliers stay in place in the pivot columns (never revisited) and are
-    read back for the trailing update A22 -= F (L'^-1 A12), where F is the
-    multiplier block of the rows below the panel's pivot rows.  The update
-    runs in strips of _STRIP columns, so its temporaries scale with the
-    strip, and it touches only rows with a nonzero row of F; that skips most
-    rows of block-diagonal and unit-vector inputs."""
+    Each panel of `panel` columns is factored by `_factor`, which recurses
+    on halves so that most of its work is matrix products; then its pivots
+    are applied to every column right of the panel by `_update`."""
     a = a.copy()
     m, n = a.shape
     rank = 0
     c0 = 0
     while c0 < n and rank < m:
         c1 = min(c0 + panel, n)
-        g0 = rank
-        piv_cols: list[int] = []
-        invs: list[np.uint64] = []
-        for c in range(c0, c1):
-            nz = np.nonzero(a[rank:, c])[0]
-            if nz.size == 0:
-                continue
-            piv = rank + int(nz[0])
-            if piv != rank:
-                a[[rank, piv]] = a[[piv, rank]]
-            inv = np.uint64(pow(int(a[rank, c]), -1, _M61))
-            invs.append(inv)
-            piv_cols.append(c)
-            a[rank, c:c1] = _mulmod_m61(inv, a[rank, c:c1])
-            if c + 1 < c1 and rank + 1 < m:
-                col = a[rank + 1:, c]
-                nz = np.nonzero(col)[0]
-                if 4 * nz.size >= col.size:
-                    # Dense column: contiguous update beats gather/scatter
-                    # (zero factors subtract zero).
-                    a[rank + 1:, c + 1:c1] = _submod_m61(
-                        a[rank + 1:, c + 1:c1],
-                        _mulmod_m61(col[:, None], a[rank, c + 1:c1]),
-                    )
-                elif nz.size:
-                    below = rank + 1 + nz
-                    a[below[:, None], np.arange(c + 1, c1)[None, :]] = _submod_m61(
-                        a[below, c + 1:c1],
-                        _mulmod_m61(a[below, c][:, None], a[rank, c + 1:c1]),
-                    )
-            rank += 1
-            if rank == m:
-                break
-        # Only rows below whose multipliers in this panel are not all zero
-        # change; the pivot rows' trailing entries are never read again.
-        f = a[rank:, piv_cols]
-        rows = rank + np.flatnonzero(f.any(axis=1))
-        if rows.size and c1 < n:
-            f = f[rows - rank]
-            # Invert L', the lower triangular matrix with the saved pivot
-            # values on the diagonal and the in-place multipliers below it,
-            # by forward substitution one row at a time.
-            g = rank - g0
-            lower = a[g0:rank, piv_cols]
-            linv = np.zeros((g, g), dtype=np.uint64)
-            for i in range(g):
-                e = np.zeros(g, dtype=np.uint64)
-                e[i] = 1
-                if i:
-                    acc = _matmul_mod_m61(lower[i : i + 1, :i], linv[:i])[0]
-                    e = _submod_m61(e, acc)
-                linv[i] = _mulmod_m61(invs[i], e)
-            for s0 in range(c1, n, _STRIP):
-                s = slice(s0, s0 + _STRIP)
-                u = _matmul_mod_m61(linv, a[g0:rank, s])
-                a[rows, s] = _submod_m61(a[rows, s], _matmul_mod_m61(f, u))
+        piv_cols, invs = _factor(a, rank, c0, c1)
+        _update(a, rank, piv_cols, invs, c1, n)
+        rank += len(piv_cols)
         c0 = c1
     return rank
 

@@ -129,14 +129,24 @@ class TestDim:
         assert "dim = 33" in out
 
     def test_oracle_r_out_of_range(self, capsys):
-        code, _, err = run(capsys, "dim", "--dims", "3,3,3", "--r", "4", "--oracle")
+        code, out, err = run(capsys, "dim", "--dims", "3,3,3", "--r", "4", "--oracle")
         assert code == 2
+        assert out == ""
         assert err == "error: need 1 <= r <= min(dims), got r=4, dims=(3, 3, 3)\n"
 
     def test_oracle_too_large_for_dense_matrix(self, capsys):
-        code, _, err = run(capsys, "dim", "--dims", "200,200,200", "--r", "25", "--oracle")
+        code, out, err = run(capsys, "dim", "--dims", "200,200,200", "--r", "25", "--oracle")
         assert code == 2
+        assert out == ""
         assert err.startswith("error: dense 13800 x 13125 matrix")
+
+    def test_oracle_composite_prime(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dim", "--dims", "3,3,3", "--r", "3", "--oracle", "--prime", "1000"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: modulus 1000 is not prime\n"
 
     def test_full_regime(self, capsys):
         code, out, _ = run(capsys, "dim", "--dims", "6,6,6", "--r", "4")
@@ -179,18 +189,6 @@ class TestTable:
         lines = out.strip().split("\n")
         assert len(lines) == 101
         assert lines[100] == "100,17,4080,4233"
-
-    def test_verified_table_to_40_within_budget(self, capsys):
-        import time
-
-        start = time.time()
-        code, out, _ = run(capsys, "table", "--max", "40", "--verify")
-        elapsed = time.time() - start
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert len(lines) == 41
-        assert all(line.endswith("true,true") for line in lines[1:])
-        assert elapsed < 600
 
 
 class TestExport:

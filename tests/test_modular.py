@@ -6,15 +6,19 @@ import pytest
 
 from subrank.certificate import find_certificate, scripted_certificate, validate
 from subrank.combinatorics import is_admissible
+from subrank import modular
 from subrank.formulas import dim_C_r
 from subrank.modular import (
     MERSENNE61,
     ModularMatrix,
     RandomAssignment,
     _STRIP,
+    _lower_inverse,
     _matmul_mod_m61,
+    _mulmod_m61,
     _rank_m61_blocked,
     _rank_python,
+    _submod_m61,
     brute_force_uniqueness,
     count_monomial_terms,
     instantiate,
@@ -40,6 +44,43 @@ def reference_seeded_value(seed, index, p):
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & m64
     x ^= x >> 31
     return 1 + x % (p - 1)
+
+
+def reference_lower_inverse(lower: np.ndarray, invs: np.ndarray) -> np.ndarray:
+    """L'^-1 mod 2^61-1 by forward substitution, one row and one small matrix
+    product at a time, for L' with diagonal 1 / invs and the strictly lower
+    part of `lower` below it."""
+    g = len(invs)
+    linv = np.zeros((g, g), dtype=np.uint64)
+    for i in range(g):
+        e = np.zeros(g, dtype=np.uint64)
+        e[i] = 1
+        if i:
+            acc = _matmul_mod_m61(lower[i : i + 1, :i], linv[:i])[0]
+            e = _submod_m61(e, acc)
+        linv[i] = _mulmod_m61(invs[i], e)
+    return linv
+
+
+def random_entry(rng: random.Random) -> int:
+    p = MERSENNE61
+    return rng.choice((1, p - 1, p - 1, rng.randrange(1, p)))
+
+
+def unit_and_block_diagonal(rng: random.Random, m: int, n: int) -> list[list[int]]:
+    """Two rows in three are unit vectors; every third row is one short
+    diagonal block."""
+    rows = []
+    for i in range(m):
+        row = [0] * n
+        if i % 3:
+            row[rng.randrange(n)] = random_entry(rng)
+        else:
+            lo = (i * 5) % n
+            for j in range(lo, min(lo + 6, n)):
+                row[j] = random_entry(rng)
+        rows.append(row)
+    return rows
 
 
 def reference_subspace_dimension_oracle(
@@ -207,26 +248,13 @@ class TestRank:
         p = MERSENNE61
 
         def entry():
-            return rng.choice((1, p - 1, p - 1, rng.randrange(1, p)))
+            return random_entry(rng)
 
         def product_rank_deficient(m, n, k):
             left = [[entry() for _ in range(k)] for _ in range(m)]
             right = [[entry() for _ in range(n)] for _ in range(k)]
             return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)]
                     for row in left]
-
-        def unit_and_block_diagonal(m, n):
-            rows = []
-            for i in range(m):
-                row = [0] * n
-                if i % 3:
-                    row[rng.randrange(n)] = entry()       # unit-vector row
-                else:
-                    lo = (i * 5) % n                      # one short diagonal block
-                    for j in range(lo, min(lo + 6, n)):
-                        row[j] = entry()
-                rows.append(row)
-            return rows
 
         def dense(m, n, density):
             return [[entry() if rng.random() < density else 0 for _ in range(n)]
@@ -238,8 +266,8 @@ class TestRank:
             [[p - 1] * 40 for _ in range(20)],             # every entry p - 1
             dense(24, _STRIP + 29, 0.3),                   # a partial last strip
             dense(12, 2 * _STRIP + 3, 0.05),
-            unit_and_block_diagonal(60, 50),
-            unit_and_block_diagonal(40, _STRIP + 5),
+            unit_and_block_diagonal(rng, 60, 50),
+            unit_and_block_diagonal(rng, 40, _STRIP + 5),
             product_rank_deficient(40, 36, 11),
             product_rank_deficient(26, _STRIP + 9, 19),
         ]
@@ -250,6 +278,88 @@ class TestRank:
                 assert _rank_m61_blocked(arr, panel=panel) == want
         assert _rank_python(cases[2], p) == 1
         assert _rank_python(cases[7], p) == 11
+
+    @pytest.mark.parametrize("g", [1, 2, 31, 32, 33, 64, 100, 128])
+    def test_lower_inverse_matches_row_by_row_reference(self, g):
+        p = MERSENNE61
+        rng = np.random.default_rng(g)
+        lower = rng.integers(0, p, size=(g, g), dtype=np.uint64)
+        invs = rng.integers(1, p, size=g, dtype=np.uint64)
+        assert (_lower_inverse(lower, invs) == reference_lower_inverse(lower, invs)).all()
+        top = np.full((g, g), p - 1, dtype=np.uint64)
+        assert (_lower_inverse(top, top[0]) == reference_lower_inverse(top, top[0])).all()
+
+    def test_panel_splits_at_midpoint_by_shape_rule(self, monkeypatch):
+        # A panel splits while it is wider than 16 columns and has more than
+        # 2^14 entries from its first row down; the right half starts at the
+        # row after the left half's pivots.
+        calls = []
+        factor = modular._factor
+
+        def recording(a, r0, c0, c1):
+            calls.append((r0, c0, c1))
+            return factor(a, r0, c0, c1)
+
+        monkeypatch.setattr(modular, "_factor", recording)
+        rng = np.random.default_rng(5)
+        a = rng.integers(1, MERSENNE61, size=(600, 45), dtype=np.uint64)
+        assert _rank_m61_blocked(a) == 45
+        assert calls == [(0, 0, 45), (0, 0, 22), (22, 22, 45)]   # odd width rounds down
+        calls.clear()
+        a = rng.integers(1, MERSENNE61, size=(600, 128), dtype=np.uint64)
+        assert _rank_m61_blocked(a) == 128
+        assert calls == [
+            (0, 0, 128),
+            (0, 0, 64), (0, 0, 32), (0, 0, 16), (16, 16, 32),
+            (32, 32, 64), (32, 32, 48), (48, 48, 64),          # 568 x 32 splits
+            (64, 64, 128), (64, 64, 96), (64, 64, 80), (80, 80, 96),
+            (96, 96, 128),                                     # 504 x 32 does not
+        ]
+
+    def test_recursive_panel_agrees_with_reference(self):
+        p = MERSENNE61
+        rng = np.random.default_rng(2025)
+
+        def dense(m, n):
+            return rng.integers(0, p, size=(m, n), dtype=np.uint64)
+
+        def product(m, n, k):
+            return _matmul_mod_m61(dense(m, k), dense(k, n))
+
+        def zero_bands(a, *bands):
+            for lo, hi in bands:
+                a[:, lo:hi] = 0
+            return a
+
+        # About 150 x 200: the first panel splits once, at column 64.
+        for a in [
+            dense(150, 200),
+            product(150, 200, 90),
+            zero_bands(dense(150, 200), (50, 80), (180, 200)),   # straddle 64 and 192
+            zero_bands(dense(150, 200), (0, 64)),                # no pivot in the left half
+        ]:
+            assert _rank_m61_blocked(a) == _rank_python(a.tolist(), p)
+        # A panel wider than the rows: they run out inside its left half.
+        a = dense(60, 700)
+        assert _rank_m61_blocked(a, panel=512) == _rank_python(a.tolist(), p) == 60
+
+        # Larger inputs split at several depths; 16-column panels never split.
+        cases = [
+            product(600, 700, 450),
+            zero_bands(dense(400, 500), (20, 44), (56, 72), (120, 136), (180, 200)),
+            zero_bands(dense(400, 500), (128, 192), (200, 208)),
+            np.array(unit_and_block_diagonal(random.Random(4), 400, 300), dtype=np.uint64),
+        ]
+        ranks = [_rank_m61_blocked(a) for a in cases]
+        assert ranks == [_rank_m61_blocked(a, panel=16) for a in cases]
+        assert ranks[:3] == [450, 400, 400]
+
+    def test_recursive_panel_on_instantiated_patterns(self):
+        # Full row rank at 504 x 621; full column rank at 504 x 405.
+        for n, want in ((32, 504), (24, 405)):
+            pm = build_pattern(9, (n, n, n))
+            assert min(pm.n_rows, pm.n_cols) == want
+            assert rank_mod_p(instantiate(pm, random_assignment(pm, 0))) == want
 
     def test_limb_matmul_is_exact_at_inner_bound(self):
         p = MERSENNE61

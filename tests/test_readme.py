@@ -2,6 +2,7 @@
 
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ COMMANDS = [line for line in fenced_block("Command line", "sh").splitlines()
 def test_command_block_found():
     assert any(" dim " in line for line in COMMANDS)
     assert any(line.startswith("subrank q ") for line in COMMANDS)
+    assert any(line.startswith("subrank table ") and "--verify" in line for line in COMMANDS)
 
 
 @pytest.mark.parametrize("line", COMMANDS,
@@ -32,7 +34,9 @@ def test_command_line_example(line, capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("SUBRANK_SEED", raising=False)
     command, _, comment = line.partition("#")
     argv, comment = shlex.split(command)[1:], comment.strip()
+    start = time.perf_counter()
     assert main(argv) == 0
+    elapsed = time.perf_counter() - start
     out = capsys.readouterr().out
     if argv[0] == "q":
         q = re.match(r"Q = (\d+),", comment).group(1)
@@ -40,6 +44,11 @@ def test_command_line_example(line, capsys, monkeypatch, tmp_path):
     if argv[0] == "dim":
         dim = re.fullmatch(r"(\d+), oracle agrees", comment).group(1)
         assert out.endswith(f"dim = {dim}\noracle agrees: {dim}\n")
+    if argv[0] == "table" and "--verify" in argv:
+        lines = out.strip().split("\n")
+        assert len(lines) == int(argv[argv.index("--max") + 1]) + 1
+        assert all(line.endswith("true,true") for line in lines[1:])
+        assert elapsed < 600
 
 
 def test_library_example():
