@@ -190,6 +190,18 @@ class TestTable:
         assert len(lines) == 101
         assert lines[100] == "100,17,4080,4233"
 
+    def test_verified_table_to_40_within_budget(self, capsys):
+        import time
+
+        start = time.time()
+        code, out, _ = run(capsys, "table", "--max", "40", "--verify")
+        elapsed = time.time() - start
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert len(lines) == 41
+        assert all(line.endswith("true,true") for line in lines[1:])
+        assert elapsed < 600
+
 
 class TestExport:
     def test_json_export_round_trips(self, capsys, tmp_path):
