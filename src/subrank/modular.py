@@ -72,7 +72,7 @@ def seeded_values(seed: int, start: int, count: int, p: int) -> np.ndarray:
 class RandomAssignment:
     """Seeded nonzero values for every variable of a pattern.
 
-    `values[i]` is the value of variable number i as `PatternMatrix.entry_vars`
+    `values[i]` is the value of variable number i as `PatternMatrix.entries()`
     numbers them, in lexicographic (t, s, reduced) order; it is reproducible
     from (seed, p).
     """
@@ -118,7 +118,8 @@ def instantiate(pm: PatternMatrix, assignment: RandomAssignment) -> ModularMatri
             f"over the {_DENSE_LIMIT >> 20} MiB limit"
         )
     data = np.zeros((pm.n_rows, pm.n_cols), dtype=np.uint64)
-    data[pm.entry_rows, pm.entry_cols] = (values % np.uint64(p))[pm.entry_vars]
+    rows, cols, var = pm.entries()
+    data[rows, cols] = (values % np.uint64(p))[var]
     return ModularMatrix(pm.n_rows, pm.n_cols, p, data)
 
 

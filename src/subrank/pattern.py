@@ -52,8 +52,10 @@ def parse_variable(label: str) -> Variable:
 class PatternMatrix:
     """Immutable sparse symbolic matrix plus row and column indexes.
 
-    Entries are three parallel integer arrays sorted by row, then column,
-    computed from the entry rule.  Variables are numbered in lexicographic
+    Only the row and column indexes are stored.  `entries()` computes the
+    nonzeros from the entry rule on each call, as three parallel integer
+    arrays sorted by row, then column, and `nnz` and `n_vars` are closed
+    forms in (r, dims).  Variables are numbered in lexicographic
     (t, s, reduced) order; nothing is stored per variable, since `entry`
     and `var_occ` derive a variable's entries from the rule.
     """
@@ -82,6 +84,32 @@ class PatternMatrix:
         self.row_pos = {p: i for i, p in enumerate(self.rows)}
         self.col_pos = {c: j for j, c in enumerate(self.cols)}
 
+    # -- basic facts ------------------------------------------------------
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.rows)
+
+    @property
+    def n_cols(self) -> int:
+        return len(self.cols)
+
+    # The admissible rows are closed under permuting coordinates, so every
+    # direction has the same reduced tuples: the non-constant (k-1)-tuples.
+    @property
+    def nnz(self) -> int:
+        return self.n_rows * (sum(self.dims) - self.k * self.r)
+
+    @property
+    def n_vars(self) -> int:
+        if not self.rows:
+            return 0
+        return (self.r ** (self.k - 1) - self.r) * (sum(self.dims) - self.k * self.r)
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, column, variable number) index arrays of every nonzero,
+        sorted by row, then column; computed from the entry rule on each call."""
+        r, dims, k = self.r, self.dims, self.k
         # One nonzero per row and (t, s) pair, at column (t, j_t, s), holding
         # a^{t,s}_w with w the row minus coordinate t.  Per direction t the
         # entries form an (n_rows, n_t - r) block; placing the blocks side by
@@ -103,24 +131,11 @@ class PatternMatrix:
             var_blocks.append(n_vars + s * len(codes) + w_num.reshape(-1, 1))
             n_vars += slots * len(codes)
             col0 += r * slots
-        self.n_vars = n_vars
-        self.entry_cols = np.hstack(col_blocks).ravel()
-        self.entry_vars = np.hstack(var_blocks).ravel()
-        self.entry_rows = np.repeat(np.arange(len(rows)), sum(dims) - k * r)
-
-    # -- basic facts ------------------------------------------------------
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.cols)
-
-    @property
-    def nnz(self) -> int:
-        return len(self.entry_rows)
+        return (
+            np.repeat(np.arange(len(rows)), sum(dims) - k * r),
+            np.hstack(col_blocks).ravel(),
+            np.hstack(var_blocks).ravel(),
+        )
 
     def var_occ(self, v: Variable) -> list[tuple[int, int]]:
         """(row index, column index) of every occurrence of v, by row.
@@ -187,10 +202,23 @@ def occurrences(
 # -- serialization ---------------------------------------------------------
 
 
+# Most nonzeros the text exports build in memory.  JSON takes about 1.1 KB
+# per entry, so (100,100,100) at r=17, with 1,015,920 entries, still fits.
+_EXPORT_LIMIT = 1 << 20
+
+
 def _entries(pm: PatternMatrix) -> Iterator[tuple[int, int, Variable]]:
     """(row index, column index, variable) of every nonzero, row-major."""
-    for i, j in zip(pm.entry_rows.tolist(), pm.entry_cols.tolist()):
-        yield i, j, pm.entry(pm.rows[i], pm.cols[j])
+    if pm.nnz > _EXPORT_LIMIT:
+        raise ValueError(
+            f"pattern has {pm.nnz} nonzeros, over the {_EXPORT_LIMIT} "
+            f"that a text export builds in memory"
+        )
+    rows, cols, _ = pm.entries()
+    return (
+        (i, j, pm.entry(pm.rows[i], pm.cols[j]))
+        for i, j in zip(rows.tolist(), cols.tolist())
+    )
 
 
 def pattern_to_json(pm: PatternMatrix) -> str:
@@ -248,7 +276,10 @@ def parse_coordinate_list(text: str) -> tuple[int, int, list[tuple[int, int, Var
     entries = []
     for ln in lines[1:]:
         si, sj, label = ln.split(" ", 2)
-        entries.append((int(si) - 1, int(sj) - 1, parse_variable(label)))
+        i, j = int(si), int(sj)
+        if not (1 <= i <= n_rows and 1 <= j <= n_cols):
+            raise ValueError(f"entry ({i}, {j}) outside the {n_rows} x {n_cols} matrix")
+        entries.append((i - 1, j - 1, parse_variable(label)))
     if len(entries) != nnz:
         raise ValueError(f"header declares {nnz} entries, found {len(entries)}")
     return n_rows, n_cols, entries

@@ -190,12 +190,8 @@ class TestTable:
         assert len(lines) == 101
         assert lines[100] == "100,17,4080,4233"
 
-    def test_verified_table_to_40_within_budget(self, capsys):
-        import time
-
-        start = time.time()
-        code, out, _ = run(capsys, "table", "--max", "40", "--verify")
-        elapsed = time.time() - start
+    def test_verified_table_to_40_within_budget(self, cached_cli_run):
+        code, out, elapsed = cached_cli_run("table", "--max", "40", "--verify")
         assert code == 0
         lines = out.strip().split("\n")
         assert len(lines) == 41
@@ -230,6 +226,15 @@ class TestExport:
         code, _, err = run(capsys, "export", "--dims", "3,3,3", "--r", "4")
         assert code == 2
         assert "exceeds" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "coord"])
+    def test_text_export_too_large_refused(self, capsys, fmt):
+        code, out, err = run(capsys, "export", "--dims", "200,200,200", "--r", "24",
+                             "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: pattern has 6412032 nonzeros, over the 1048576 "
+                       "that a text export builds in memory\n")
 
 
 class TestSeedEnvFallback:

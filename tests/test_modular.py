@@ -421,7 +421,8 @@ class TestMinorDeterminant:
         cert = find_certificate(pm)
         base = random_assignment(pm, 0)
         values = base.values.copy()
-        values[pm.entry_vars[pm.entry_rows == 0]] = 0  # every variable of row 0
+        entry_rows, _, entry_vars = pm.entries()
+        values[entry_vars[entry_rows == 0]] = 0  # every variable of row 0
         zeroed = RandomAssignment(seed=0, p=MERSENNE61, values=values)
         verdict = minor_determinant_check(pm, cert, assignment=zeroed)
         assert not verdict.ok

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,9 +99,10 @@ class TestBuild:
     def test_deterministic(self):
         a = build_pattern(4, (6, 6, 6))
         b = build_pattern(4, (6, 6, 6))
-        assert np.array_equal(a.entry_rows, b.entry_rows)
-        assert np.array_equal(a.entry_cols, b.entry_cols)
-        assert np.array_equal(a.entry_vars, b.entry_vars)
+        (a_rows, a_cols, a_vars), (b_rows, b_cols, b_vars) = a.entries(), b.entries()
+        assert np.array_equal(a_rows, b_rows)
+        assert np.array_equal(a_cols, b_cols)
+        assert np.array_equal(a_vars, b_vars)
         assert a.n_vars == b.n_vars
         assert [a.entry(p, c) for p in a.rows for c in a.cols] == [
             b.entry(p, c) for p in b.rows for c in b.cols
@@ -116,7 +119,7 @@ class TestBuild:
     def test_entries_match_reference_loop(self, r, dims):
         pm = build_pattern(r, dims)
         rows, cols, vars_, variables = reference_entries(r, dims)
-        got = (pm.entry_rows, pm.entry_cols, pm.entry_vars)
+        got = pm.entries()
         for array, want in zip(got, (rows, cols, vars_)):
             assert array.dtype.kind == "i"
             assert array.tolist() == want
@@ -126,6 +129,30 @@ class TestBuild:
             assert pm.entry(pm.rows[i], pm.cols[j]) == variables[vi]
             occ[vi].append((i, j))
         assert [pm.var_occ(v) for v in variables] == occ
+
+
+class TestDerivedCounts:
+    @pytest.mark.parametrize("k,max_dim", [(3, 9), (4, 6), (5, 4), (6, 3)])
+    def test_closed_forms_match_entries(self, k, max_dim):
+        for dims in itertools.combinations_with_replacement(range(1, max_dim + 1), k):
+            for r in range(1, dims[0] + 1):
+                pm = build_pattern(r, dims)
+                rows, _, vars_ = pm.entries()
+                assert pm.nnz == len(rows), (r, dims)
+                n_used = vars_.max() + 1 if len(vars_) else 0
+                assert pm.n_vars == len(np.unique(vars_)) == n_used, (r, dims)
+
+    def test_build_does_not_grow_with_nnz(self):
+        # The (200,200,200) r=24 pattern has 6.4M nonzeros, 147 MiB as three
+        # int64 arrays; building it keeps only the row and column indexes.
+        tracemalloc.start()
+        try:
+            pm = build_pattern(24, (200, 200, 200))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pm.nnz == 6412032
+        assert peak < 16 << 20
 
 
 class TestEntries:
@@ -141,7 +168,7 @@ class TestEntries:
             pm = build_pattern(r, dims)
             seen_rows = set()
             seen_cols = set()
-            for i, j, vi in zip(pm.entry_rows, pm.entry_cols, pm.entry_vars):
+            for i, j, vi in zip(*pm.entries()):
                 assert (i, vi) not in seen_rows
                 assert (j, vi) not in seen_cols
                 seen_rows.add((i, vi))
@@ -151,15 +178,16 @@ class TestEntries:
         pm = build_pattern(3, (5, 4, 4))
         rows = np.array(pm.rows)
         cols = np.array(pm.cols)
-        t, m = cols[pm.entry_cols, 0], cols[pm.entry_cols, 1]
-        assert np.array_equal(rows[pm.entry_rows, t - 1], m)
+        entry_rows, entry_cols, entry_vars = pm.entries()
+        t, m = cols[entry_cols, 0], cols[entry_cols, 1]
+        assert np.array_equal(rows[entry_rows, t - 1], m)
         variables = reference_entries(3, (5, 4, 4))[3]
-        assert [variables[vi].t for vi in pm.entry_vars.tolist()] == t.tolist()
+        assert [variables[vi].t for vi in entry_vars.tolist()] == t.tolist()
 
     def test_one_nonzero_per_row_and_slot_pair(self):
         pm = build_pattern(3, (5, 4, 4))
         per_row = {}
-        for i, j in zip(pm.entry_rows, pm.entry_cols):
+        for i, j, _ in zip(*pm.entries()):
             t, _, s = pm.cols[j]
             key = (i, t, s)
             assert key not in per_row
@@ -245,7 +273,7 @@ class TestSerialization:
             assert again == pm
             assert again.rows == pm.rows
             assert again.cols == pm.cols
-            assert np.array_equal(again.entry_vars, pm.entry_vars)
+            assert np.array_equal(again.entries()[2], pm.entries()[2])
 
     def test_json_rejects_tampered_entries(self):
         import json
@@ -272,6 +300,17 @@ class TestSerialization:
     def test_coordinate_list_without_header_rejected(self, text):
         with pytest.raises(ValueError, match="missing header"):
             parse_coordinate_list(text)
+
+    @pytest.mark.parametrize("line", [
+        "0 1 a^{1,1}_{2,3}",  # row 0
+        "3 1 a^{1,1}_{2,3}",  # row nRows + 1
+        "1 0 a^{1,1}_{2,3}",  # column 0
+        "2 4 a^{1,1}_{2,3}",  # column nCols + 1
+        "5 9 a^{1,1}_{2,3}",  # both outside
+    ])
+    def test_coordinate_list_index_out_of_range_rejected(self, line):
+        with pytest.raises(ValueError, match="outside the 2 x 3 matrix"):
+            parse_coordinate_list(f"2 3 1\n{line}\n")
 
     def test_exports_are_byte_stable(self):
         # Digests of outputs written by the per-entry builder this one replaced.
