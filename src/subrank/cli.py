@@ -22,6 +22,7 @@ from .combinatorics import count_rows
 from .formulas import classify, dim_C_r, generic_subrank, pattern_col_count
 from .modular import (
     DEFAULT_PRIME,
+    check_dense_size,
     instantiate,
     is_prime,
     modular_to_coordinate_list,
@@ -127,6 +128,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.r > min(args.dims):
         print(f"error: r={args.r} exceeds min dimension {min(args.dims)}", file=sys.stderr)
         return 2
+    check_dense_size(args.r, args.dims)
     pm = build_pattern(args.r, args.dims)
     expected = count_rows(args.r, len(args.dims))
     verdict = verify_generic_rank(pm, expected, args.trials, args.prime, args.seed)
@@ -183,13 +185,15 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.r > min(args.dims):
         print(f"error: r={args.r} exceeds min dimension {min(args.dims)}", file=sys.stderr)
         return 2
+    if args.format == "values":
+        _check_prime(args.prime)
+        check_dense_size(args.r, args.dims)
     pm = build_pattern(args.r, args.dims)
     if args.format == "json":
         text = pattern_to_json(pm)
     elif args.format == "coord":
         text = pattern_to_coordinate_list(pm)
     else:
-        _check_prime(args.prime)
         mm = instantiate(pm, random_assignment(pm, args.seed, args.prime))
         text = modular_to_coordinate_list(mm)
     _write(text, args.out)

@@ -9,19 +9,20 @@ rank); trials below it are inconclusive and only reported.
 The default prime is the Mersenne prime 2^61 - 1: residues fit in machine
 words, and the per-trial false-negative probability is bounded by
 (#rows)/p, which is negligible at desk scale.  Every rank mod 2^61 - 1 runs
-through one blocked elimination kernel.  It factors each panel of columns
-recursively, after Dumas, Giorgi & Pernet (ACM TOMS 35(3), 2008): a panel
-that is wide and tall enough splits in half, and the left half's pivots
-reach the right half through the same update that later carries the whole
-panel's pivots to the columns right of it.  Only narrow panels are
-eliminated one column at a time, with 31-bit limbs keeping elementwise
-products inside uint64.  The update is a matrix product taken as three
-float64 BLAS calls on 21-bit limbs, and so is the inverse of the pivots'
-lower triangle it needs.  It runs in column strips of fixed width, so peak
-memory is about the matrix, its working copy and a few strip-sized
-temporaries, and it skips rows whose multipliers are all zero, which most
-rows of block-diagonal and unit-vector inputs are.  Other primes use the
-plain Python elimination that tests also use as the reference.
+through one blocked elimination kernel: one recursion factors the whole
+matrix, after Dumas, Giorgi & Pernet (ACM TOMS 35(3), 2008).  A column
+range that is wide and tall enough splits at its midpoint, or 128 columns
+in if that is sooner; the left part's pivots reach the right part through
+a matrix-product update, and each part returns the inverse L'^-1 of its
+pivots' lower triangle, which the update needs and from which its parent
+composes its own.  Only narrow ranges are eliminated one column at a time,
+with 31-bit limbs keeping elementwise products inside uint64.  Matrix
+products are taken as three float64 BLAS calls on 21-bit limbs.  The update
+runs in column strips of fixed width, so peak memory is about the matrix,
+its working copy and a few strip-sized temporaries, and it skips rows whose
+multipliers are all zero, which most rows of block-diagonal and unit-vector
+inputs are.  Other primes use the plain Python elimination that tests also
+use as the reference.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from itertools import permutations
 import numpy as np
 
 from .certificate import Certificate, Verdict
+from .combinatorics import count_rows
+from .formulas import pattern_col_count
 from .pattern import PatternMatrix
 
 MERSENNE61 = (1 << 61) - 1
@@ -103,6 +106,20 @@ class ModularMatrix:
     data: np.ndarray  # uint64, shape (n_rows, n_cols), residues reduced
 
 
+def check_dense_size(r: int, dims: tuple[int, ...]) -> None:
+    """Refuse the (r, dims) pattern if its dense matrix is over _DENSE_LIMIT.
+
+    The size comes from the closed forms, so callers can refuse a shape
+    before building its pattern."""
+    n_rows, n_cols = count_rows(r, len(dims)), pattern_col_count(dims, r)
+    size = n_rows * n_cols * 8
+    if size > _DENSE_LIMIT:
+        raise ValueError(
+            f"dense {n_rows} x {n_cols} matrix needs {size / 2**20:.0f} MiB, "
+            f"over the {_DENSE_LIMIT >> 20} MiB limit"
+        )
+
+
 def instantiate(pm: PatternMatrix, assignment: RandomAssignment) -> ModularMatrix:
     """Replace each variable by its assigned residue; zeros stay zero."""
     values, p = assignment.values, assignment.p
@@ -111,12 +128,7 @@ def instantiate(pm: PatternMatrix, assignment: RandomAssignment) -> ModularMatri
             f"assignment has {len(values)} values but the pattern has "
             f"{pm.n_vars} variables"
         )
-    size = pm.n_rows * pm.n_cols * 8
-    if size > _DENSE_LIMIT:
-        raise ValueError(
-            f"dense {pm.n_rows} x {pm.n_cols} matrix needs {size / 2**20:.0f} MiB, "
-            f"over the {_DENSE_LIMIT >> 20} MiB limit"
-        )
+    check_dense_size(pm.r, pm.dims)
     data = np.zeros((pm.n_rows, pm.n_cols), dtype=np.uint64)
     rows, cols, var = pm.entries()
     data[rows, cols] = (values % np.uint64(p))[var]
@@ -142,10 +154,13 @@ def modular_to_coordinate_list(mm: ModularMatrix) -> str:
 # a few (rows x _STRIP) arrays.
 _STRIP = 512
 
-# `_factor` halves a panel wider than _BASE_WIDTH columns with more than
-# _BASE_CELLS entries from its first row down.
+# `_factor` splits a column range wider than _BASE_WIDTH columns with more
+# than _BASE_CELLS entries from its first row down, at its midpoint or
+# _PANEL columns in, whichever is sooner.  So every L'^-1 it returns, and
+# every inner dimension of `_update`, is at most _PANEL.
 _BASE_WIDTH = 16
 _BASE_CELLS = 1 << 14
+_PANEL = 128
 
 
 def _fold61(x: np.ndarray) -> np.ndarray:
@@ -247,20 +262,8 @@ def _lower_inverse(lower: np.ndarray, invs: np.ndarray) -> np.ndarray:
     `lower` and D^-1 = diag(invs).
 
     L' = D (I + M) with M = D^-1 N nilpotent, so L'^-1 = (I - M)(I + M^2)
-    (I + M^4)... D^-1, about 2 log2(g) products for g rows.  Above 32 rows
-    L' is split into the block triangle [[L1, 0], [C, L2]], whose inverse
-    has off-diagonal block -L2^-1 C L1^-1."""
+    (I + M^4)... D^-1, about 2 log2(g) products for g rows."""
     g = len(invs)
-    if g > 32:
-        h = g // 2
-        inv1 = _lower_inverse(lower[:h, :h], invs[:h])
-        inv2 = _lower_inverse(lower[h:, h:], invs[h:])
-        linv = np.zeros((g, g), dtype=np.uint64)
-        linv[:h, :h] = inv1
-        linv[h:, h:] = inv2
-        off = _matmul_mod_m61(inv2, _matmul_mod_m61(lower[h:, :h], inv1))
-        linv[h:, :h] = _submod_m61(np.zeros_like(off), off)
-        return linv
     m = _mulmod_m61(invs[:, None], np.tril(lower, -1))
     eye = np.eye(g, dtype=np.uint64)
     linv = _submod_m61(eye, m)                           # I - M
@@ -273,7 +276,7 @@ def _lower_inverse(lower: np.ndarray, invs: np.ndarray) -> np.ndarray:
 
 
 def _update(
-    a: np.ndarray, r0: int, piv_cols: list[int], invs: list[np.uint64], c0: int, c1: int
+    a: np.ndarray, r0: int, piv_cols: list[int], linv: np.ndarray, c0: int, c1: int
 ) -> None:
     """Apply the pivots in rows r0, r0 + 1, ... at `piv_cols` to columns c0:c1.
 
@@ -282,41 +285,51 @@ def _update(
     below it, and F is the multiplier block of the rows below.  Only rows
     with a nonzero row of F change, which skips most rows of block-diagonal
     and unit-vector inputs; strips of _STRIP columns bound the temporaries."""
-    if c0 >= c1:
-        return
     r1 = r0 + len(piv_cols)
     f = a[r1:, piv_cols]
     rows = r1 + np.flatnonzero(f.any(axis=1))
     if rows.size == 0:
         return
     f = f[rows - r1]
-    linv = _lower_inverse(a[r0:r1, piv_cols], np.array(invs, dtype=np.uint64))
     for s0 in range(c0, c1, _STRIP):
         s = slice(s0, min(s0 + _STRIP, c1))
         u = _matmul_mod_m61(linv, a[r0:r1, s])
         a[rows, s] = _submod_m61(a[rows, s], _matmul_mod_m61(f, u))
 
 
-def _factor(a: np.ndarray, r0: int, c0: int, c1: int) -> tuple[list[int], list[np.uint64]]:
+def _factor(a: np.ndarray, r0: int, c0: int, c1: int) -> tuple[list[int], np.ndarray | None]:
     """Eliminate columns c0:c1 of `a` from row r0 down, in place; return the
-    pivot columns and the inverses of their pivots.
+    pivot columns and L'^-1 for `_update`, or None when no column lies
+    right of c1 or no row is left below the pivots, so nothing would use it.
 
     Rows are swapped whole, but only columns c0:c1 change; each multiplier
-    stays in its pivot column for `_update` to read.  A large panel splits
-    at its midpoint: factor the left half, apply its pivots to the right
-    half, then factor the right half from the next free row.  Small panels
-    are factored one column at a time."""
-    m = a.shape[0]
+    stays in its pivot column for `_update` to read.  A large range splits
+    at its midpoint, or _PANEL columns in if that is sooner: factor the left
+    part, apply its pivots to the right part, then factor the right part
+    from the next free row.  L'^-1 of the whole is the block triangle
+    [[L1^-1, 0], [-L2^-1 C L1^-1, L2^-1]] of the parts' inverses, with C the
+    right pivot rows' multipliers in the left pivot columns.  Small ranges
+    are eliminated one column at a time."""
+    m, n = a.shape
     if c1 - c0 > _BASE_WIDTH and (m - r0) * (c1 - c0) > _BASE_CELLS:
-        mid = (c0 + c1) // 2
-        piv_cols, invs = _factor(a, r0, c0, mid)
-        r1 = r0 + len(piv_cols)
-        if r1 < m:
-            _update(a, r0, piv_cols, invs, mid, c1)
-            right_cols, right_invs = _factor(a, r1, mid, c1)
-            piv_cols += right_cols
-            invs += right_invs
-        return piv_cols, invs
+        mid = min((c0 + c1) // 2, c0 + _PANEL)
+        left, inv1 = _factor(a, r0, c0, mid)
+        r1 = r0 + len(left)
+        if r1 == m:
+            return left, None
+        _update(a, r0, left, inv1, mid, c1)
+        if c1 == n:
+            inv1 = None     # unused from here; free it while the right part recurses
+        right, inv2 = _factor(a, r1, mid, c1)
+        if inv2 is None:
+            return left + right, None
+        g1, r2 = len(left), r1 + len(right)
+        linv = np.zeros((r2 - r0, r2 - r0), dtype=np.uint64)
+        linv[:g1, :g1] = inv1
+        linv[g1:, g1:] = inv2
+        off = _matmul_mod_m61(inv2, _matmul_mod_m61(a[r1:r2, left], inv1))
+        linv[g1:, :g1] = _submod_m61(np.zeros_like(off), off)
+        return left + right, linv
     rank = r0
     piv_cols = []
     invs = []
@@ -350,26 +363,14 @@ def _factor(a: np.ndarray, r0: int, c0: int, c1: int) -> tuple[list[int], list[n
         rank += 1
         if rank == m:
             break
-    return piv_cols, invs
+    if c1 == n or rank == m:
+        return piv_cols, None
+    return piv_cols, _lower_inverse(a[r0:rank, piv_cols], np.array(invs, dtype=np.uint64))
 
 
-def _rank_m61_blocked(a: np.ndarray, panel: int = 128) -> int:
-    """Rank mod 2^61-1 by blocked Gaussian elimination.
-
-    Each panel of `panel` columns is factored by `_factor`, which recurses
-    on halves so that most of its work is matrix products; then its pivots
-    are applied to every column right of the panel by `_update`."""
-    a = a.copy()
-    m, n = a.shape
-    rank = 0
-    c0 = 0
-    while c0 < n and rank < m:
-        c1 = min(c0 + panel, n)
-        piv_cols, invs = _factor(a, rank, c0, c1)
-        _update(a, rank, piv_cols, invs, c1, n)
-        rank += len(piv_cols)
-        c0 = c1
-    return rank
+def _rank_m61_blocked(a: np.ndarray) -> int:
+    """Rank mod 2^61-1 by recursive blocked Gaussian elimination on a copy."""
+    return len(_factor(a.copy(), 0, 0, a.shape[1])[0])
 
 
 def rank_mod_p(mm: ModularMatrix) -> int:
@@ -531,6 +532,7 @@ def subspace_dimension_oracle(
         raise ValueError(f"order k must be at least 3, got {k}")
     if not 1 <= r <= min(dims):
         raise ValueError(f"need 1 <= r <= min(dims), got r={r}, dims={dims}")
+    check_dense_size(r, dims)
     pm = PatternMatrix(r, dims)
     mm = instantiate(pm, random_assignment(pm, seed, p))
     return math.prod(dims) - pm.n_rows + rank_mod_p(mm)

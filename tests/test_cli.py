@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from subrank import cli, modular
 from subrank.cli import main
 from subrank.pattern import pattern_from_json
 
@@ -14,6 +15,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def forbid_pattern_build(monkeypatch):
+    """Make any pattern construction by the CLI or the oracle fail loudly."""
+    def refuse(*args):
+        raise AssertionError("pattern built for a shape refused by size")
+
+    monkeypatch.setattr(cli, "build_pattern", refuse)
+    monkeypatch.setattr(modular, "PatternMatrix", refuse)
 
 
 class TestModuleEntryPoint:
@@ -109,6 +119,14 @@ class TestVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "12144 x 12672" in err
 
+    def test_refused_by_size_before_the_pattern_is_built(self, capsys, monkeypatch):
+        # 5,088,276 rows: the row index alone would not fit in memory.
+        forbid_pattern_build(monkeypatch)
+        code, out, err = run(capsys, "verify", "--dims", "10000,10000,10000", "--r", "173")
+        assert (code, out) == (2, "")
+        assert err == ("error: dense 5088276 x 5100213 matrix needs 197992641 MiB, "
+                       "over the 1024 MiB limit\n")
+
     def test_composite_prime_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--dims", "6,6,6", "--r", "4", "--prime", "1000"])
@@ -139,6 +157,14 @@ class TestDim:
         assert code == 2
         assert out == ""
         assert err.startswith("error: dense 13800 x 13125 matrix")
+
+    def test_oracle_refused_by_size_before_the_pattern_is_built(self, capsys, monkeypatch):
+        forbid_pattern_build(monkeypatch)
+        code, out, err = run(capsys, "dim", "--dims", "10000,10000,10000", "--r", "174",
+                             "--oracle")
+        assert (code, out) == (2, "")
+        assert err == ("error: dense 5177544 x 5129172 matrix needs 202610120 MiB, "
+                       "over the 1024 MiB limit\n")
 
     def test_oracle_composite_prime(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -221,6 +247,15 @@ class TestExport:
         lines = out.strip().split("\n")
         assert lines[0] == "6 9 18"
         assert len(lines) == 19
+
+    def test_values_export_refused_by_size_before_the_pattern_is_built(
+        self, capsys, monkeypatch
+    ):
+        forbid_pattern_build(monkeypatch)
+        code, out, err = run(capsys, "export", "--dims", "10000,10000,10000", "--r", "173",
+                             "--format", "values")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: dense 5088276 x 5100213 matrix")
 
     def test_r_above_dims_rejected(self, capsys):
         code, _, err = run(capsys, "export", "--dims", "3,3,3", "--r", "4")

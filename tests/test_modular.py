@@ -62,6 +62,13 @@ def reference_lower_inverse(lower: np.ndarray, invs: np.ndarray) -> np.ndarray:
     return linv
 
 
+def split_at_most(monkeypatch, width):
+    """Make `_factor` split every column range it can: at most `width`
+    columns left of each split, and small inputs split too."""
+    monkeypatch.setattr(modular, "_PANEL", width)
+    monkeypatch.setattr(modular, "_BASE_CELLS", 0)
+
+
 def random_entry(rng: random.Random) -> int:
     p = MERSENNE61
     return rng.choice((1, p - 1, p - 1, rng.randrange(1, p)))
@@ -229,7 +236,8 @@ class TestRank:
         mm = instantiate(pm, random_assignment(pm, 0))
         assert rank_mod_p(mm) == 24
 
-    def test_pivot_orders_agree_on_random_sparse(self):
+    def test_pivot_orders_agree_on_random_sparse(self, monkeypatch):
+        split_at_most(monkeypatch, 16)
         rng = random.Random(99)
         p = MERSENNE61
         for _ in range(200):
@@ -241,9 +249,9 @@ class TestRank:
             fwd = _rank_python(rows, p)
             rev = _rank_python(rows, p, reverse_cols=True)
             arr = np.array(rows, dtype=np.uint64)
-            assert fwd == rev == _rank_m61_blocked(arr, panel=16)
+            assert fwd == rev == _rank_m61_blocked(arr)
 
-    def test_blocked_kernel_agrees_with_reference(self):
+    def test_blocked_kernel_agrees_with_reference(self, monkeypatch):
         rng = random.Random(2024)
         p = MERSENNE61
 
@@ -274,8 +282,9 @@ class TestRank:
         for rows in cases:
             want = _rank_python(rows, p)
             arr = np.array(rows, dtype=np.uint64)
-            for panel in (4, 9, 128):
-                assert _rank_m61_blocked(arr, panel=panel) == want
+            for width in (4, 9, 128):
+                split_at_most(monkeypatch, width)
+                assert _rank_m61_blocked(arr) == want
         assert _rank_python(cases[2], p) == 1
         assert _rank_python(cases[7], p) == 11
 
@@ -290,9 +299,10 @@ class TestRank:
         assert (_lower_inverse(top, top[0]) == reference_lower_inverse(top, top[0])).all()
 
     def test_panel_splits_at_midpoint_by_shape_rule(self, monkeypatch):
-        # A panel splits while it is wider than 16 columns and has more than
-        # 2^14 entries from its first row down; the right half starts at the
-        # row after the left half's pivots.
+        # A range splits while it is wider than 16 columns and has more than
+        # 2^14 entries from its first row down, at its midpoint or 128
+        # columns in; the right part starts at the row after the left part's
+        # pivots.
         calls = []
         factor = modular._factor
 
@@ -315,8 +325,16 @@ class TestRank:
             (64, 64, 128), (64, 64, 96), (64, 64, 80), (80, 80, 96),
             (96, 96, 128),                                     # 504 x 32 does not
         ]
+        # Wider than two panels: the first split is 128 columns in, and no
+        # range with columns right of it is wider than 128.
+        calls.clear()
+        a = rng.integers(1, MERSENNE61, size=(600, 300), dtype=np.uint64)
+        assert _rank_m61_blocked(a) == 300
+        assert calls[:2] == [(0, 0, 300), (0, 0, 128)]
+        assert (128, 128, 300) in calls
+        assert all(c1 - c0 <= 128 for _, c0, c1 in calls if c1 < 300)
 
-    def test_recursive_panel_agrees_with_reference(self):
+    def test_recursive_panel_agrees_with_reference(self, monkeypatch):
         p = MERSENNE61
         rng = np.random.default_rng(2025)
 
@@ -331,19 +349,22 @@ class TestRank:
                 a[:, lo:hi] = 0
             return a
 
-        # About 150 x 200: the first panel splits once, at column 64.
+        # About 150 x 200: the matrix splits once, at column 100.
         for a in [
             dense(150, 200),
             product(150, 200, 90),
-            zero_bands(dense(150, 200), (50, 80), (180, 200)),   # straddle 64 and 192
-            zero_bands(dense(150, 200), (0, 64)),                # no pivot in the left half
+            zero_bands(dense(150, 200), (50, 80), (180, 200)),
+            zero_bands(dense(150, 200), (0, 64)),
+            zero_bands(dense(150, 200), (0, 100)),               # no pivot in the left half
         ]:
             assert _rank_m61_blocked(a) == _rank_python(a.tolist(), p)
-        # A panel wider than the rows: they run out inside its left half.
-        a = dense(60, 700)
-        assert _rank_m61_blocked(a, panel=512) == _rank_python(a.tolist(), p) == 60
+        # Wider than the rows: they run out inside the left half.
+        with monkeypatch.context() as mp:
+            split_at_most(mp, 512)
+            a = dense(60, 700)
+            assert _rank_m61_blocked(a) == _rank_python(a.tolist(), p) == 60
 
-        # Larger inputs split at several depths; 16-column panels never split.
+        # Larger inputs split at several depths; 16-column parts never split.
         cases = [
             product(600, 700, 450),
             zero_bands(dense(400, 500), (20, 44), (56, 72), (120, 136), (180, 200)),
@@ -351,8 +372,54 @@ class TestRank:
             np.array(unit_and_block_diagonal(random.Random(4), 400, 300), dtype=np.uint64),
         ]
         ranks = [_rank_m61_blocked(a) for a in cases]
-        assert ranks == [_rank_m61_blocked(a, panel=16) for a in cases]
+        split_at_most(monkeypatch, 16)
+        assert ranks == [_rank_m61_blocked(a) for a in cases]
         assert ranks[:3] == [450, 400, 400]
+
+    def test_factor_returns_inverse_exactly_when_used(self, monkeypatch):
+        # `_factor` returns L'^-1 unless no column lies right of its range or
+        # its pivots use up the rows.  L'^-1 has diagonal 1 / pivot, so it
+        # must equal the row-by-row inverse of its own diagonal's inverses
+        # and the multipliers left below the pivots.
+        p = MERSENNE61
+        rng = np.random.default_rng(9)
+        depth = [0]
+        composed_at = set()
+        seen = {"none": 0, "inverse": 0}
+        factor = modular._factor
+
+        def checking(a, r0, c0, c1):
+            depth[0] += 1
+            piv_cols, linv = factor(a, r0, c0, c1)
+            depth[0] -= 1
+            g = len(piv_cols)
+            if c1 == a.shape[1] or r0 + g == a.shape[0]:
+                assert linv is None
+                seen["none"] += 1
+                return piv_cols, linv
+            assert linv.shape == (g, g)
+            invs = np.diagonal(linv).copy()
+            lower = a[r0:r0 + g, piv_cols]
+            assert (linv == reference_lower_inverse(lower, invs)).all()
+            seen["inverse"] += 1
+            if g and c1 - c0 > modular._BASE_WIDTH:
+                composed_at.add(depth[0])
+            return piv_cols, linv
+
+        monkeypatch.setattr(modular, "_factor", checking)
+        split_at_most(monkeypatch, 64)
+        left = rng.integers(0, p, size=(300, 120), dtype=np.uint64)
+        right = rng.integers(0, p, size=(120, 400), dtype=np.uint64)
+        a = _matmul_mod_m61(left, right)                 # rank 120, columns right
+        assert _rank_m61_blocked(a) == _rank_python(a.tolist(), p) == 120
+        assert len(composed_at) >= 3
+        for a in [
+            rng.integers(0, p, size=(200, 90), dtype=np.uint64),     # columns run out
+            rng.integers(0, p, size=(70, 200), dtype=np.uint64),     # rows run out
+            np.array(unit_and_block_diagonal(random.Random(3), 90, 80), dtype=np.uint64),
+        ]:
+            assert _rank_m61_blocked(a) == _rank_python(a.tolist(), p)
+        assert seen["none"] and seen["inverse"]
 
     def test_recursive_panel_on_instantiated_patterns(self):
         # Full row rank at 504 x 621; full column rank at 504 x 405.
@@ -377,13 +444,14 @@ class TestRank:
         mm = ModularMatrix(3, 3, 7, np.array(rows, dtype=np.uint64))
         assert rank_mod_p(mm) == 2
 
-    def test_square_example_via_independent_elimination_orders(self):
+    def test_square_example_via_independent_elimination_orders(self, monkeypatch):
         pm = build_pattern(4, (6, 6, 6))
         mm = instantiate(pm, random_assignment(pm, 0))
         rows = mm.data.tolist()
         assert _rank_python(rows, MERSENNE61) == 24
         assert _rank_python(rows, MERSENNE61, reverse_cols=True) == 24
-        assert _rank_m61_blocked(mm.data, panel=7) == 24
+        split_at_most(monkeypatch, 7)
+        assert _rank_m61_blocked(mm.data) == 24
 
 
 class TestVerifyGenericRank:
