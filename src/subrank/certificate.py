@@ -6,10 +6,10 @@ occurrences of its variable, and those occurrences sit in pairwise
 distinct rows and columns.  A matrix admitting such a monomial of degree
 equal to its row count has generically full row rank.
 
-The search crosses whole blocks of orbits at a time: it repeatedly picks
-the uncrossed orbit with the smallest canonical representative, finds the
-maximal uncrossed t-block through it for each direction t, and crosses the
-first block that still fits into the unused column slots of its direction.
+The search crosses whole blocks of orbits at a time: it walks the orbits
+once in canonical order, and for each one not yet crossed finds the maximal
+uncrossed t-block through it for each direction t and crosses the first
+block that still fits into the unused column slots of its direction.
 A counting argument guarantees such a direction exists whenever the matrix
 has at least as many columns as rows, so running out of choices indicates
 an implementation bug, not a bad input.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .combinatorics import Block, act, all_orbits, maximal_uncrossed_block, orbit_of
+from .combinatorics import Block, all_orbits, maximal_uncrossed_block, orbit_of
 from .pattern import PatternMatrix, Variable, parse_variable
 
 
@@ -138,11 +138,9 @@ def cross_block(
         return []
 
     block_rows = {pm.row_pos[p] for p in block.rows}
-    base = block.orbits[0].canonical
     steps: list[Step] = []
     for s in slots:
-        for shift in range(r):
-            rep = act(shift, base, r)
+        for rep in block.orbits[0].members:
             v = Variable(t=t, s=s, reduced=rep[: t - 1] + rep[t:])
             live = [
                 (i, j)
@@ -208,13 +206,11 @@ def find_certificate(pm: PatternMatrix) -> Certificate:
             f"impossible for r={pm.r}, dims={pm.dims}"
         )
     state = CrossState(pm)
-    orbits = all_orbits(pm.r, pm.k)
     steps: list[Step] = []
-    while True:
-        uncrossed = [o for o in orbits if o.canonical not in state.crossed_orbits]
-        if not uncrossed:
-            break
-        seed = uncrossed[0]
+    # Crossed orbits stay crossed, so one pass meets each seed in turn.
+    for seed in all_orbits(pm.r, pm.k):
+        if seed.canonical in state.crossed_orbits:
+            continue
         chosen: tuple[int, Block] | None = None
         sizes = {}
         for t in range(1, pm.k + 1):

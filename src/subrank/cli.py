@@ -30,7 +30,7 @@ from .modular import (
     subspace_dimension_oracle,
     verify_generic_rank,
 )
-from .pattern import build_pattern, pattern_to_coordinate_list, pattern_to_json
+from .pattern import build_pattern, check_export_size, pattern_to_coordinate_list, pattern_to_json
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -66,13 +66,14 @@ def _write(text: str, out: str | None) -> None:
 def _check_prime(p: int) -> None:
     # is_prime and the uint64 residue storage are exact only below 2^64.
     if p >= 1 << 64:
-        message = f"modulus {p} is not below 2^64"
-    elif not is_prime(p):
-        message = f"modulus {p} is not prime"
-    else:
-        return
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(2)
+        raise ValueError(f"modulus {p} is not below 2^64")
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+
+
+def _check_r(r: int, dims: tuple[int, ...]) -> None:
+    if r > min(dims):
+        raise ValueError(f"r={r} exceeds min dimension {min(dims)}")
 
 
 def cmd_q(args: argparse.Namespace) -> int:
@@ -100,15 +101,11 @@ def cmd_q(args: argparse.Namespace) -> int:
 def cmd_certificate(args: argparse.Namespace) -> int:
     report = classify(args.dims, args.r)
     if not report.certificate_regime:
-        if not report.r_within_dims:
-            print(f"error: r={args.r} exceeds min dimension {min(args.dims)}", file=sys.stderr)
-        else:
-            print(
-                f"error: {report.n_cols} columns < {report.n_rows} rows; "
-                f"full row rank is impossible at r={args.r}",
-                file=sys.stderr,
-            )
-        return 2
+        _check_r(args.r, args.dims)
+        raise ValueError(
+            f"{report.n_cols} columns < {report.n_rows} rows; "
+            f"full row rank is impossible at r={args.r}"
+        )
     pm = build_pattern(args.r, args.dims)
     cert = find_certificate(pm)
     verdict = validate(pm, cert)
@@ -125,9 +122,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_prime(args.prime)
-    if args.r > min(args.dims):
-        print(f"error: r={args.r} exceeds min dimension {min(args.dims)}", file=sys.stderr)
-        return 2
+    _check_r(args.r, args.dims)
     check_dense_size(args.r, args.dims)
     pm = build_pattern(args.r, args.dims)
     expected = count_rows(args.r, len(args.dims))
@@ -182,12 +177,12 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    if args.r > min(args.dims):
-        print(f"error: r={args.r} exceeds min dimension {min(args.dims)}", file=sys.stderr)
-        return 2
+    _check_r(args.r, args.dims)
     if args.format == "values":
         _check_prime(args.prime)
         check_dense_size(args.r, args.dims)
+    else:
+        check_export_size(args.r, args.dims)
     pm = build_pattern(args.r, args.dims)
     if args.format == "json":
         text = pattern_to_json(pm)

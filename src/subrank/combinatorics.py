@@ -2,10 +2,13 @@
 
 Rows of the pattern matrix are k-tuples over [r] in which no single value
 occupies k-1 or more of the k coordinates (for k=3: three pairwise distinct
-entries).  The simultaneous cyclic shift acts freely on this set, so rows
-group into orbits of size exactly r.  A t-block collects orbits whose
-members differ only in coordinate t; blocks are the crossing unit of the
-certificate search.
+entries).  The simultaneous cyclic shift by a != 0 (mod r) moves every
+coordinate, the first one included, so the r shifts of a row have r
+distinct first coordinates: the action is free, rows group into orbits of
+size exactly r, and each orbit has exactly one member whose first
+coordinate is 1.  That member, also the orbit's lexicographically smallest,
+names the orbit.  A t-block collects orbits whose members differ only in
+coordinate t; blocks are the crossing unit of the certificate search.
 
 Indices are 1-based throughout; residue 0 of the shift maps back to r.
 """
@@ -56,8 +59,8 @@ def act(a: int, p: tuple[int, ...], r: int) -> tuple[int, ...]:
 class Orbit:
     """Cyclic-shift orbit of a row tuple; always has exactly r members.
 
-    `canonical` is the lexicographically smallest member, `members` lists
-    the orbit in shift order starting from the canonical representative.
+    `canonical` is the member whose first coordinate is 1 (the
+    lexicographically smallest); `members[a]` is its shift by a.
     """
 
     canonical: tuple[int, ...]
@@ -70,18 +73,19 @@ class Orbit:
 
 
 def orbit_of(p: tuple[int, ...], r: int) -> Orbit:
-    """Orbit of p under the simultaneous cyclic shift."""
+    """Orbit of p under the simultaneous cyclic shift.
+
+    The shift by 1 - p[0] is the one member whose first coordinate is 1;
+    the shifts of that member by 0..r-1 have distinct first coordinates,
+    so they are the r distinct members in order.
+    """
     if not is_admissible(p):
         raise ValueError(f"{p} is not an admissible row tuple")
     if any(c < 1 or c > r for c in p):
         raise ValueError(f"{p} has coordinates outside [1, {r}]")
-    members = [act(a, p, r) for a in range(r)]
-    if len(set(members)) != r:
-        raise AssertionError(f"cyclic action is not free on {p} (r={r})")
-    canonical = min(members)
-    start = members.index(canonical)
-    ordered = tuple(members[(start + a) % r] for a in range(r))
-    return Orbit(canonical=canonical, r=r, members=ordered)
+    canonical = act(1 - p[0], p, r)
+    members = tuple(act(a, canonical, r) for a in range(r))
+    return Orbit(canonical=canonical, r=r, members=members)
 
 
 @dataclass(frozen=True)
@@ -148,13 +152,6 @@ def block_intersection_count(b1: Block, b2: Block) -> int:
 
 
 def all_orbits(r: int, k: int) -> list[Orbit]:
-    """Orbits partitioning the admissible row set, sorted by canonical."""
-    seen: set[tuple[int, ...]] = set()
-    orbits = []
-    for p in enumerate_rows(r, k):
-        if p in seen:
-            continue
-        o = orbit_of(p, r)
-        seen.update(o.members)
-        orbits.append(o)
-    return orbits
+    """Orbits partitioning the admissible row set, sorted by canonical:
+    one per admissible row whose first coordinate is 1."""
+    return [orbit_of(p, r) for p in enumerate_rows(r, k) if p[0] == 1]

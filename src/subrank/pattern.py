@@ -207,13 +207,21 @@ def occurrences(
 _EXPORT_LIMIT = 1 << 20
 
 
-def _entries(pm: PatternMatrix) -> Iterator[tuple[int, int, Variable]]:
-    """(row index, column index, variable) of every nonzero, row-major."""
-    if pm.nnz > _EXPORT_LIMIT:
+def check_export_size(r: int, dims: tuple[int, ...]) -> None:
+    """Refuse a text export of the (r, dims) pattern over _EXPORT_LIMIT
+    nonzeros.  The count is the closed form of `PatternMatrix.nnz`, so
+    callers can refuse a shape before building its pattern."""
+    nnz = count_rows(r, len(dims)) * (sum(dims) - len(dims) * r)
+    if nnz > _EXPORT_LIMIT:
         raise ValueError(
-            f"pattern has {pm.nnz} nonzeros, over the {_EXPORT_LIMIT} "
+            f"pattern has {nnz} nonzeros, over the {_EXPORT_LIMIT} "
             f"that a text export builds in memory"
         )
+
+
+def _entries(pm: PatternMatrix) -> Iterator[tuple[int, int, Variable]]:
+    """(row index, column index, variable) of every nonzero, row-major."""
+    check_export_size(pm.r, pm.dims)
     rows, cols, _ = pm.entries()
     return (
         (i, j, pm.entry(pm.rows[i], pm.cols[j]))

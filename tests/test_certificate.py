@@ -157,6 +157,29 @@ class TestScriptedCertificate:
             scripted_certificate(pm, script)
 
 
+def single_mutations(cert):
+    """(description, certificate) for each one-edit change of `cert`.
+
+    A step edit recomputes the monomial from the edited steps, so only the
+    replay of the steps can catch it."""
+    def with_steps(steps):
+        monomial = tuple(sorted((st.variable, st.multiplicity) for st in steps))
+        return Certificate(cert.r, cert.dims, tuple(steps), monomial)
+
+    steps = list(cert.steps)
+    for i, st in enumerate(steps):
+        before, after = steps[:i], steps[i + 1:]
+        yield f"drop step {i}", with_steps(before + after)
+        yield f"append a copy of step {i}", with_steps(steps + [st])
+        yield f"drop a row of step {i}", with_steps(
+            before + [Step(st.variable, st.rows[1:], st.cols)] + after)
+        yield f"drop a column of step {i}", with_steps(
+            before + [Step(st.variable, st.rows, st.cols[1:])] + after)
+    for j, (v, power) in enumerate(cert.monomial):
+        monomial = cert.monomial[:j] + ((v, power + 1),) + cert.monomial[j + 1:]
+        yield f"raise the power of {v}", Certificate(cert.r, cert.dims, cert.steps, monomial)
+
+
 class TestValidate:
     def make_valid(self):
         pm = build_pattern(4, (6, 6, 6))
@@ -200,6 +223,15 @@ class TestValidate:
         pm, cert = self.make_valid()
         other = build_pattern(4, (7, 6, 6))
         assert not validate(other, cert).ok
+
+    @pytest.mark.parametrize("r,dims", [(4, (6, 6, 6)), (3, (8, 8, 8, 8)), (5, (9, 9, 9))])
+    def test_every_single_mutation_rejected(self, r, dims):
+        pm = build_pattern(r, dims)
+        cert = find_certificate(pm)
+        assert validate(pm, cert).ok
+        mutants = list(single_mutations(cert))
+        assert len(mutants) == 4 * len(cert.steps) + len(cert.monomial)
+        assert [name for name, bad in mutants if validate(pm, bad).ok] == []
 
     def test_monomial_mismatch_fails(self):
         pm, cert = self.make_valid()

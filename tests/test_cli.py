@@ -128,10 +128,9 @@ class TestVerify:
                        "over the 1024 MiB limit\n")
 
     def test_composite_prime_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--dims", "6,6,6", "--r", "4", "--prime", "1000"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err == "error: modulus 1000 is not prime\n"
+        code, _, err = run(capsys, "verify", "--dims", "6,6,6", "--r", "4", "--prime", "1000")
+        assert code == 2
+        assert err == "error: modulus 1000 is not prime\n"
 
 
 class TestDim:
@@ -167,12 +166,10 @@ class TestDim:
                        "over the 1024 MiB limit\n")
 
     def test_oracle_composite_prime(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["dim", "--dims", "3,3,3", "--r", "3", "--oracle", "--prime", "1000"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: modulus 1000 is not prime\n"
+        code, out, err = run(capsys, "dim", "--dims", "3,3,3", "--r", "3", "--oracle",
+                             "--prime", "1000")
+        assert (code, out) == (2, "")
+        assert err == "error: modulus 1000 is not prime\n"
 
     def test_full_regime(self, capsys):
         code, out, _ = run(capsys, "dim", "--dims", "6,6,6", "--r", "4")
@@ -271,6 +268,19 @@ class TestExport:
         assert err == ("error: pattern has 6412032 nonzeros, over the 1048576 "
                        "that a text export builds in memory\n")
 
+    @pytest.mark.parametrize("fmt", ["json", "coord"])
+    def test_text_export_refused_by_size_before_the_pattern_is_built(
+        self, capsys, monkeypatch, fmt
+    ):
+        # 2,532,014,100 nonzeros on 438,900 rows, whose index alone takes
+        # seconds and hundreds of MB to build.
+        forbid_pattern_build(monkeypatch)
+        code, out, err = run(capsys, "export", "--dims", "2000,2000,2000", "--r", "77",
+                             "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == ("error: pattern has 2532014100 nonzeros, over the 1048576 "
+                       "that a text export builds in memory\n")
+
 
 class TestSeedEnvFallback:
     def test_env_seed_changes_values(self, capsys, monkeypatch):
@@ -301,12 +311,9 @@ class TestBadInput:
 
     def test_prime_at_least_two_to_the_64(self, capsys):
         prime = str((1 << 64) + 13)  # the least prime above 2^64
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--dims", "6,6,6", "--r", "4", "--prime", prime])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: modulus {prime} is not below 2^64\n"
+        code, out, err = run(capsys, "verify", "--dims", "6,6,6", "--r", "4", "--prime", prime)
+        assert (code, out) == (2, "")
+        assert err == f"error: modulus {prime} is not below 2^64\n"
 
     @pytest.mark.parametrize("top", ["0", "-5"])
     def test_table_max_below_one(self, capsys, top):

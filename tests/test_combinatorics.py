@@ -4,6 +4,7 @@ import pytest
 
 from subrank.combinatorics import (
     Block,
+    Orbit,
     act,
     all_orbits,
     block_intersection_count,
@@ -22,6 +23,32 @@ def brute_force_rows(r, k):
         if max(p.count(v) for v in set(p)) <= k - 2:
             out.append(p)
     return out
+
+
+def reference_orbit_of(p, r):
+    """Orbit found by search: all r shifts, named by the smallest, listed
+    from it in shift order."""
+    members = [act(a, p, r) for a in range(r)]
+    assert len(set(members)) == r
+    canonical = min(members)
+    start = members.index(canonical)
+    ordered = tuple(members[(start + a) % r] for a in range(r))
+    return Orbit(canonical=canonical, r=r, members=ordered)
+
+
+def reference_all_orbits(r, k):
+    """Orbits in order of first appearance among the sorted rows."""
+    seen = set()
+    orbits = []
+    for p in enumerate_rows(r, k):
+        if p not in seen:
+            o = reference_orbit_of(p, r)
+            seen.update(o.members)
+            orbits.append(o)
+    return orbits
+
+
+FREE_GRID = [(r, k) for r in range(1, 8) for k in (3, 4, 5)]
 
 
 class TestEnumerateRows:
@@ -99,10 +126,23 @@ class TestOrbits:
         assert o.canonical == (1, 2, 3)
         assert set(o.members) == {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
 
-    @pytest.mark.parametrize("r,k", [(r, k) for r in range(1, 8) for k in (3, 4, 5)])
+    @pytest.mark.parametrize("r,k", FREE_GRID)
     def test_action_is_free(self, r, k):
         for p in enumerate_rows(r, k):
-            assert orbit_of(p, r).size == r
+            assert len(set(orbit_of(p, r).members)) == r
+
+    @pytest.mark.parametrize("r,k", FREE_GRID)
+    def test_orbit_of_matches_reference_search(self, r, k):
+        for p in enumerate_rows(r, k):
+            got, want = orbit_of(p, r), reference_orbit_of(p, r)
+            assert (got.canonical, got.members) == (want.canonical, want.members)
+            assert got.canonical[0] == 1
+
+    @pytest.mark.parametrize("r,k", FREE_GRID)
+    def test_all_orbits_matches_reference_search(self, r, k):
+        got = [(o.canonical, o.members) for o in all_orbits(r, k)]
+        want = [(o.canonical, o.members) for o in reference_all_orbits(r, k)]
+        assert got == want
 
     @pytest.mark.parametrize("r,k", [(4, 3), (5, 3), (6, 3), (2, 4), (3, 4)])
     def test_orbits_partition(self, r, k):
