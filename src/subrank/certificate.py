@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .combinatorics import Block, all_orbits, maximal_uncrossed_block, orbit_of
+from .combinatorics import Block, all_orbits, count_rows, maximal_uncrossed_block, orbit_of
 from .pattern import PatternMatrix, Variable, parse_variable
 
 
@@ -190,6 +190,25 @@ def _assemble(pm: PatternMatrix, steps: list[Step]) -> Certificate:
         powers[st.variable] = st.multiplicity
     monomial = tuple(sorted(powers.items()))
     return Certificate(r=pm.r, dims=pm.dims, steps=tuple(steps), monomial=monomial)
+
+
+# Most rows a certificate search takes on.  Finding, validating and writing
+# a certificate peaks at about 2.2 KB per row (`certificate --out` peaks at
+# 112 MB for 35,904 rows and 355 MB for 148,824), so this is about 1.1 GiB.
+# (2000,2000,2000) at r=77 has 438,900 rows.
+_CERTIFICATE_LIMIT = 1 << 19
+
+
+def check_certificate_size(r: int, dims: tuple[int, ...]) -> None:
+    """Refuse a certificate for the (r, dims) pattern over _CERTIFICATE_LIMIT
+    rows.  The count is the closed form, so callers can refuse a shape
+    before building its pattern."""
+    n_rows = count_rows(r, len(dims))
+    if n_rows > _CERTIFICATE_LIMIT:
+        raise ValueError(
+            f"pattern has {n_rows} rows, over the {_CERTIFICATE_LIMIT} "
+            f"that a certificate search holds in memory"
+        )
 
 
 def find_certificate(pm: PatternMatrix) -> Certificate:

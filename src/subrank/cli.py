@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .certificate import certificate_to_json, find_certificate, validate
+from .certificate import certificate_to_json, check_certificate_size, find_certificate, validate
 from .combinatorics import count_rows
 from .formulas import classify, dim_C_r, generic_subrank, pattern_col_count
 from .modular import (
@@ -106,6 +106,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
             f"{report.n_cols} columns < {report.n_rows} rows; "
             f"full row rank is impossible at r={args.r}"
         )
+    check_certificate_size(args.r, args.dims)
     pm = build_pattern(args.r, args.dims)
     cert = find_certificate(pm)
     verdict = validate(pm, cert)

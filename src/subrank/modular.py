@@ -17,12 +17,15 @@ a matrix-product update, and each part returns the inverse L'^-1 of its
 pivots' lower triangle, which the update needs and from which its parent
 composes its own.  Only narrow ranges are eliminated one column at a time,
 with 31-bit limbs keeping elementwise products inside uint64.  Matrix
-products are taken as three float64 BLAS calls on 21-bit limbs.  The update
-runs in column strips of fixed width, so peak memory is about the matrix,
-its working copy and a few strip-sized temporaries, and it skips rows whose
-multipliers are all zero, which most rows of block-diagonal and unit-vector
-inputs are.  Other primes use the plain Python elimination that tests also
-use as the reference.
+products are taken as three float64 BLAS calls on 21-bit limbs.  Each
+update reduces once, as in the same paper's delayed reduction: its product
+is left unreduced below 4p, and a - product is taken as a + (4p - product)
+< 5p < 2^64 and folded once, in place in the product's own temporary.  The
+update runs in column strips of fixed width, so peak memory is about the
+matrix, its working copy and a few strip-sized temporaries, and it skips
+rows whose multipliers are all zero, which most rows of block-diagonal and
+unit-vector inputs are.  Other primes use the plain Python elimination that
+tests also use as the reference.
 """
 
 from __future__ import annotations
@@ -91,8 +94,9 @@ def random_assignment(pm: PatternMatrix, seed: int, p: int = DEFAULT_PRIME) -> R
 
 # -- matrices ----------------------------------------------------------------
 
-# Largest dense uint64 matrix `instantiate` allocates, in bytes; the rank
-# kernel needs about three times the matrix.
+# Largest dense uint64 matrix `instantiate` allocates, in bytes.  A rank
+# trial peaks at under three times the matrix: `verify` at n=100 peaks at
+# 367 MB RSS for a 138 MB matrix.
 _DENSE_LIMIT = 1 << 30
 
 
@@ -146,9 +150,16 @@ def modular_to_coordinate_list(mm: ModularMatrix) -> str:
 
 # -- Mersenne-61 kernels ------------------------------------------------------
 #
-# All values stay < 2^61.  Elementwise products are formed from 31/30-bit
-# limbs so every intermediate fits in uint64; matrix products use 21-bit
-# limbs in float64 BLAS.  2^61 == 1 (mod p) drives the foldings.
+# Residues are < p = 2^61 - 1, and 2^61 == 1 (mod p) drives the folds.  An
+# update first forms its product unreduced, congruent to it mod p and below
+# 4p: elementwise from 31/30-bit limbs in uint64, or as a matrix product from
+# 21-bit limbs in float64 BLAS.  Subtracting it as a + (4p - acc) < 5p < 2^64
+# stays in uint64, so one fold reduces the whole update.  The folds work in
+# place on temporaries, with uint64 wraparound, which numpy raises no warning
+# for on arrays (on numpy scalars it does, so scalars stay Python ints).
+
+_P = np.uint64(_M61)
+_P4 = np.uint64(4 * _M61)
 
 # Columns per trailing-update strip of the rank kernel; its temporaries are
 # a few (rows x _STRIP) arrays.
@@ -164,46 +175,59 @@ _PANEL = 128
 
 
 def _fold61(x: np.ndarray) -> np.ndarray:
-    x = (x & _M61) + (x >> np.uint64(61))
-    return np.where(x >= _M61, x - _M61, x)
+    """x mod (2^61 - 1) for a uint64 array x, which it overwrites and returns.
+
+    (x & p) + (x >> 61) < p + 8, and for x < p the wrapped x - p exceeds x,
+    so the minimum of the two is the residue."""
+    t = x >> np.uint64(61)
+    x &= _P
+    x += t
+    np.subtract(x, _P, out=t)
+    return np.minimum(x, t, out=x)
+
+
+def _sub61(a: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """(a - acc) mod (2^61 - 1) for a < p and acc < 4p, written over `acc`.
+
+    a + (4p - acc) < 5p < 2^64, so it takes one fold."""
+    np.subtract(_P4, acc, out=acc)
+    acc += a
+    return _fold61(acc)
+
+
+def _mul61(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y elementwise and broadcasting for x, y < p, unreduced: congruent
+    to it mod 2^61 - 1 and below 4p.
+
+    With x = x1 2^31 + x0 and y = y1 2^31 + y0, x y == 2 x1 y1 + mid 2^31
+    + x0 y0, since 2^62 == 2.  mid = x1 y0 + x0 y1 < 2^62 is h 2^30 + l, and
+    mid 2^31 == h + l 2^31.  As x1, y1 < 2^30 and x0, y0 < 2^31, the sum is
+    at most 2(2^30-1)^2 + (2^32-1) + (2^30-1) 2^31 + (2^31-1)^2 < 2^63 - 4
+    = 4p.  Pass the smaller operand (a column) as x."""
+    x1, x0 = x >> np.uint64(31), x & np.uint64(_M31)
+    y1, y0 = y >> np.uint64(31), y & np.uint64(_M31)
+    acc = x1 * y0
+    t = x0 * y1
+    acc += t                                          # mid
+    np.right_shift(acc, np.uint64(30), out=t)
+    acc &= np.uint64(_M30)
+    acc <<= np.uint64(31)
+    acc += t                                          # == mid 2^31, < 2^61 + 2^32
+    np.multiply(x1 << np.uint64(1), y1, out=t)
+    acc += t
+    np.multiply(x0, y0, out=t)
+    acc += t
+    return acc
 
 
 def _mulmod_m61(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(x * y) mod (2^61 - 1) elementwise, broadcasting, both operands < p.
-
-    Pass the smaller operand (a scalar or a column) as x: its high limb is
-    the one shifted."""
-    x1, x0 = x >> np.uint64(31), x & np.uint64(_M31)
-    y1, y0 = y >> np.uint64(31), y & np.uint64(_M31)
-    hi2 = (x1 << np.uint64(1)) * y1                   # 2 * x1*y1 < 2^61
-    mid = x1 * y0 + x0 * y1                           # < 2^62
-    midr = (mid >> np.uint64(30)) + ((mid & np.uint64(_M30)) << np.uint64(31))
-    low = x0 * y0                                     # < 2^62
-    lowr = (low & np.uint64(_M61)) + (low >> np.uint64(61))
-    return _fold61(hi2 + midr + lowr)                 # sum < 2^63
+    """(x * y) mod (2^61 - 1) elementwise, broadcasting, both operands < p."""
+    return _fold61(_mul61(x, y))
 
 
-def _submod_m61(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(x - y) mod (2^61 - 1) for x, y < p elementwise."""
-    return _fold61(x + (np.uint64(_M61) - y))
-
-
-def _matmul_mod_m61(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact (x @ y) mod (2^61 - 1) with three float64 matmuls.
-
-    Split both operands into 21-bit limbs, x = x0 + x1 2^21 + x2 2^42.
-    Since 2^63 == 4 and 2^84 == 4 * 2^21 (mod p), the five limb-product
-    levels fold into three, and x @ y == d0 + d1 2^21 + d2 2^42 with
-
-        d0 = x0 y0 + 4 x1 y2 + 4 x2 y1
-        d1 = x0 y1 + x1 y0 + 4 x2 y2
-        d2 = x0 y2 + x1 y1 + x2 y0.
-
-    Stacking the limbs as X = [x2|x1|x0] and Y = [4y1; 4y2; y0; y1; y2]
-    makes each d_j one float64 matmul of X with three consecutive limb rows
-    of Y.  Every term is below 2^42 (x2, y2 < 2^19), so an inner dimension
-    of at most 512 keeps each sum exact (3 * 512 * 2^42 < 2^53).
-    """
+def _limbs(x: np.ndarray) -> np.ndarray:
+    """The left operand of `_matmul61` as 21-bit float64 limbs [x2 | x1 | x0],
+    x = x0 + x1 2^21 + x2 2^42."""
     k = x.shape[1]
     if k > 512:
         raise ValueError(f"inner dimension {k} too large for exact float64 matmul")
@@ -212,21 +236,49 @@ def _matmul_mod_m61(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     xs[:, :k] = x >> np.uint64(42)
     xs[:, k:2 * k] = (x >> np.uint64(21)) & m21
     xs[:, 2 * k:] = x & m21
-    y1 = ((y >> np.uint64(21)) & m21).astype(np.float64)
-    y2 = (y >> np.uint64(42)).astype(np.float64)
-    ys = np.concatenate([4.0 * y1, 4.0 * y2, (y & m21).astype(np.float64), y1, y2])
+    return xs
+
+
+def _matmul61(xs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for xs = _limbs(x) and y < p, unreduced: congruent to it mod
+    2^61 - 1 and below 2^62.1 < 4p; three float64 matmuls.
+
+    With y split like x, and since 2^63 == 4 and 2^84 == 4 * 2^21 (mod p),
+    the five limb-product levels fold into three, and x @ y == d0 + d1 2^21
+    + d2 2^42 with
+
+        d0 = x0 y0 + 4 x1 y2 + 4 x2 y1
+        d1 = x0 y1 + x1 y0 + 4 x2 y2
+        d2 = x0 y2 + x1 y1 + x2 y0.
+
+    Stacking the limbs of y as Y = [4y1; 4y2; y0; y1; y2] makes each d_j one
+    float64 matmul of xs with three consecutive limb rows of Y.  Every term
+    is below 2^42 (x2, y2 < 2^19), so an inner dimension of at most 512
+    keeps each sum exact (3 * 512 * 2^42 < 2^53)."""
+    k = y.shape[0]
+    m21 = np.uint64(_M21)
+    ys = np.empty((5 * k, y.shape[1]))
+    ys[2 * k:3 * k] = y & m21
+    ys[3 * k:4 * k] = (y >> np.uint64(21)) & m21
+    ys[4 * k:] = y >> np.uint64(42)
+    np.multiply(ys[3 * k:], 4.0, out=ys[:2 * k])
     d = xs @ ys[:3 * k]                                  # d0 < 2^52
     acc = d.astype(np.uint64)
-    t = np.empty_like(acc)
+    t, h = np.empty_like(acc), np.empty_like(acc)
     for j, keep in ((1, 40), (2, 19)):
         # d_j 2^(21 j) == (d_j mod 2^keep) 2^(61 - keep) + (d_j >> keep)
         np.matmul(xs, ys[j * k:(j + 3) * k], out=d)
         np.copyto(t, d, casting="unsafe")
-        acc += t >> np.uint64(keep)
+        acc += np.right_shift(t, np.uint64(keep), out=h)
         t &= np.uint64((1 << keep) - 1)
         t <<= np.uint64(61 - keep)
         acc += t
-    return _fold61(acc)                                  # acc < 2^62.1
+    return acc
+
+
+def _matmul_mod_m61(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact (x @ y) mod (2^61 - 1) for x, y < p, inner dimension at most 512."""
+    return _fold61(_matmul61(_limbs(x), y))
 
 
 # -- rank kernels ----------------------------------------------------------------
@@ -266,7 +318,7 @@ def _lower_inverse(lower: np.ndarray, invs: np.ndarray) -> np.ndarray:
     g = len(invs)
     m = _mulmod_m61(invs[:, None], np.tril(lower, -1))
     eye = np.eye(g, dtype=np.uint64)
-    linv = _submod_m61(eye, m)                           # I - M
+    linv = _sub61(eye, m.copy())                         # I - M
     power, done = m, 2                                   # terms M^0..M^(done-1)
     while done < g:
         power = _matmul_mod_m61(power, power)            # M^done, zero diagonal
@@ -284,17 +336,19 @@ def _update(
     L' has the pivot values on its diagonal and the in-place multipliers
     below it, and F is the multiplier block of the rows below.  Only rows
     with a nonzero row of F change, which skips most rows of block-diagonal
-    and unit-vector inputs; strips of _STRIP columns bound the temporaries."""
+    and unit-vector inputs; strips of _STRIP columns bound the temporaries.
+    F and L'^-1 are split into limbs once; each strip subtracts its
+    unreduced product (< 2^62.1) with one fold."""
     r1 = r0 + len(piv_cols)
     f = a[r1:, piv_cols]
     rows = r1 + np.flatnonzero(f.any(axis=1))
     if rows.size == 0:
         return
-    f = f[rows - r1]
+    fs, ls = _limbs(f[rows - r1]), _limbs(linv)
     for s0 in range(c0, c1, _STRIP):
         s = slice(s0, min(s0 + _STRIP, c1))
-        u = _matmul_mod_m61(linv, a[r0:r1, s])
-        a[rows, s] = _submod_m61(a[rows, s], _matmul_mod_m61(f, u))
+        u = _fold61(_matmul61(ls, a[r0:r1, s]))
+        a[rows, s] = _sub61(a[rows, s], _matmul61(fs, u))
 
 
 def _factor(a: np.ndarray, r0: int, c0: int, c1: int) -> tuple[list[int], np.ndarray | None]:
@@ -327,8 +381,8 @@ def _factor(a: np.ndarray, r0: int, c0: int, c1: int) -> tuple[list[int], np.nda
         linv = np.zeros((r2 - r0, r2 - r0), dtype=np.uint64)
         linv[:g1, :g1] = inv1
         linv[g1:, g1:] = inv2
-        off = _matmul_mod_m61(inv2, _matmul_mod_m61(a[r1:r2, left], inv1))
-        linv[g1:, :g1] = _submod_m61(np.zeros_like(off), off)
+        off = _matmul61(_limbs(inv2), _matmul_mod_m61(a[r1:r2, left], inv1))
+        linv[g1:, :g1] = _sub61(np.uint64(0), off)
         return left + right, linv
     rank = r0
     piv_cols = []
@@ -340,25 +394,25 @@ def _factor(a: np.ndarray, r0: int, c0: int, c1: int) -> tuple[list[int], np.nda
         piv = rank + int(nz[0])
         if piv != rank:
             a[[rank, piv]] = a[[piv, rank]]
-        inv = np.uint64(pow(int(a[rank, c]), -1, _M61))
+        inv = pow(int(a[rank, c]), -1, _M61)
         invs.append(inv)
         piv_cols.append(c)
-        a[rank, c:c1] = _mulmod_m61(inv, a[rank, c:c1])
+        # Scale the pivot row in Python ints: it is short, and no numpy
+        # scalar meets the folds' wraparound, which warns on scalars.
+        a[rank, c:c1] = [inv * v % _M61 for v in a[rank, c:c1].tolist()]
         if c + 1 < c1 and rank + 1 < m:
             col = a[rank + 1:, c]
             nz = np.nonzero(col)[0]
             if 4 * nz.size >= col.size:
                 # Dense column: contiguous update beats gather/scatter
                 # (zero factors subtract zero).
-                a[rank + 1:, c + 1:c1] = _submod_m61(
-                    a[rank + 1:, c + 1:c1],
-                    _mulmod_m61(col[:, None], a[rank, c + 1:c1]),
+                a[rank + 1:, c + 1:c1] = _sub61(
+                    a[rank + 1:, c + 1:c1], _mul61(col[:, None], a[rank, c + 1:c1])
                 )
             elif nz.size:
                 below = rank + 1 + nz
-                a[below[:, None], np.arange(c + 1, c1)[None, :]] = _submod_m61(
-                    a[below, c + 1:c1],
-                    _mulmod_m61(a[below, c][:, None], a[rank, c + 1:c1]),
+                a[below, c + 1:c1] = _sub61(
+                    a[below, c + 1:c1], _mul61(a[below, c][:, None], a[rank, c + 1:c1])
                 )
         rank += 1
         if rank == m:

@@ -9,6 +9,7 @@ from subrank.certificate import (
     TooFewColumnsError,
     certificate_from_json,
     certificate_to_json,
+    check_certificate_size,
     cross_block,
     find_certificate,
     scripted_certificate,
@@ -277,3 +278,24 @@ class TestCertificateJson:
     def test_malformed_structure_rejected(self, text):
         with pytest.raises(ValueError, match="malformed certificate JSON"):
             certificate_from_json(text)
+
+
+class TestCertificateSize:
+    @pytest.mark.parametrize("r, dims", [
+        (4, (6, 6, 6)),
+        (3, (8, 8, 8, 8)),
+        (34, (400, 400, 400)),
+        (54, (1000, 1000, 1000)),
+        (77, (2000, 2000, 2000)),
+    ])
+    def test_documented_shapes_admitted(self, r, dims):
+        check_certificate_size(r, dims)
+
+    def test_limit_is_on_the_closed_form_row_count(self):
+        assert count_rows(173, 3) == 5088276
+        with pytest.raises(ValueError, match="5088276 rows, over the 524288"):
+            check_certificate_size(173, (10000, 10000, 10000))
+        # 82 * 81 * 80 = 531,360 rows is the first cube r refused.
+        check_certificate_size(81, (81, 81, 81))
+        with pytest.raises(ValueError, match="531360 rows"):
+            check_certificate_size(82, (82, 82, 82))

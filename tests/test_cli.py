@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,17 @@ class TestCertificate:
         code, out, _ = run(capsys, "certificate", "--dims", "3,3,3", "--r", "2")
         assert code == 0
         assert "degree 0" in out
+
+    def test_refused_by_size_before_the_pattern_is_built(self, capsys, monkeypatch):
+        # 5,088,276 rows: the search would hold about 11 GB.
+        forbid_pattern_build(monkeypatch)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "certificate", "--dims", "10000,10000,10000",
+                             "--r", "173")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == ("error: pattern has 5088276 rows, over the 524288 "
+                       "that a certificate search holds in memory\n")
 
 
 class TestVerify:

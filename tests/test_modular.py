@@ -12,13 +12,19 @@ from subrank.modular import (
     MERSENNE61,
     ModularMatrix,
     RandomAssignment,
+    _PANEL,
     _STRIP,
+    _fold61,
+    _limbs,
     _lower_inverse,
+    _matmul61,
     _matmul_mod_m61,
+    _mul61,
     _mulmod_m61,
     _rank_m61_blocked,
     _rank_python,
-    _submod_m61,
+    _sub61,
+    _update,
     brute_force_uniqueness,
     count_monomial_terms,
     instantiate,
@@ -50,15 +56,16 @@ def reference_lower_inverse(lower: np.ndarray, invs: np.ndarray) -> np.ndarray:
     """L'^-1 mod 2^61-1 by forward substitution, one row and one small matrix
     product at a time, for L' with diagonal 1 / invs and the strictly lower
     part of `lower` below it."""
+    p = MERSENNE61
     g = len(invs)
     linv = np.zeros((g, g), dtype=np.uint64)
     for i in range(g):
-        e = np.zeros(g, dtype=np.uint64)
+        e = [0] * g
         e[i] = 1
         if i:
-            acc = _matmul_mod_m61(lower[i : i + 1, :i], linv[:i])[0]
-            e = _submod_m61(e, acc)
-        linv[i] = _mulmod_m61(invs[i], e)
+            acc = _matmul_mod_m61(lower[i : i + 1, :i], linv[:i])[0].tolist()
+            e = [(x - y) % p for x, y in zip(e, acc)]
+        linv[i] = [int(invs[i]) * x % p for x in e]
     return linv
 
 
@@ -454,6 +461,102 @@ class TestRank:
         assert _rank_m61_blocked(mm.data) == 24
 
 
+P = MERSENNE61
+
+# Residues at the edges of the 31/30-bit limb split: 0, 1 and p - 1, each
+# limb at its maximum (2^31 - 1 is a full low limb, p - 2^31 - 1 has a full
+# low limb under the largest-but-one high limb), and neighbours.
+EDGE = [0, 1, 2, (1 << 31) - 1, 1 << 31, P - (1 << 31) - 1, P - (1 << 31), P - 2, P - 1]
+
+
+class TestFusedArithmetic:
+    def test_fold_reduces_every_uint64(self):
+        xs = [0, 1, P - 1, P, P + 1, 2 * P, 1 << 62, 4 * P, 5 * P - 1, (1 << 64) - 1]
+        x = np.array(xs, dtype=np.uint64)
+        assert _fold61(x).tolist() == [v % P for v in xs]
+
+    def test_products_at_residue_bounds(self):
+        # Column x row, as the leaf calls it: every unreduced product is
+        # congruent and below 4p, and (p-1)^2 goes past 3p.
+        col, row = np.array(EDGE, dtype=np.uint64)[:, None], np.array(EDGE, dtype=np.uint64)
+        acc = _mul61(col, row).tolist()
+        for x, accs in zip(EDGE, acc):
+            for y, v in zip(EDGE, accs):
+                assert v < 4 * P and v % P == x * y % P
+        assert acc[-1][-1] > 3 * P
+        want = [[x * y % P for y in EDGE] for x in EDGE]
+        assert _mulmod_m61(col, row).tolist() == want
+        assert _mulmod_m61(row[:, None], col[:, 0]).tolist() == want
+
+    @pytest.mark.parametrize("a", [0, 1, P - 1])
+    def test_fused_subtract_at_residue_bounds(self, a):
+        col, row = np.array(EDGE, dtype=np.uint64)[:, None], np.array(EDGE, dtype=np.uint64)
+        target = np.full((len(EDGE), len(EDGE)), a, dtype=np.uint64)
+        got = _sub61(target, _mul61(col, row))
+        assert got.tolist() == [[(a - x * y) % P for y in EDGE] for x in EDGE]
+        assert (target == a).all()
+
+    @pytest.mark.parametrize("linv_entry", [None, P - 1])
+    def test_strip_update_at_accumulator_maximum(self, linv_entry):
+        # 128 pivots, the most `_update` gets: the float64 products have
+        # inner dimension 3 * 128.  With every entry p - 1 and L'^-1 = I, the
+        # strip product F (L'^-1 A12) is unreduced at its largest.
+        g, below, w = _PANEL, 3, 5
+        a = np.full((g + below, g + w), P - 1, dtype=np.uint64)
+        if linv_entry is None:
+            linv = np.eye(g, dtype=np.uint64)
+        else:
+            linv = np.full((g, g), linv_entry, dtype=np.uint64)
+        rows = a.tolist()
+        li = linv.tolist()
+        u = [[sum(li[i][l] * rows[l][g + j] for l in range(g)) % P for j in range(w)]
+             for i in range(g)]
+        want = [[(rows[g + r][g + j] - sum(rows[g + r][i] * u[i][j] for i in range(g))) % P
+                 for j in range(w)] for r in range(below)]
+        acc = _matmul61(_limbs(a[g:, :g]), np.array(u, dtype=np.uint64))
+        assert all(v < 4 * P and v % P == (P - 1 - x) % P
+                   for v, x in zip(acc.ravel().tolist(), np.array(want).ravel().tolist()))
+        _update(a, 0, list(range(g)), linv, g, g + w)
+        assert a[g:, g:].tolist() == want
+        assert (a[:g] == P - 1).all() and (a[g:, :g] == P - 1).all()
+
+    def test_products_leave_operands_unchanged(self):
+        rng = np.random.default_rng(11)
+        x = rng.integers(0, P, size=(40, 128), dtype=np.uint64)
+        y = rng.integers(0, P, size=(128, 30), dtype=np.uint64)
+        xc, yc = x.copy(), y.copy()
+        _matmul_mod_m61(x, y)
+        _mulmod_m61(x[:, :1], y[0])
+        assert (x == xc).all() and (y == yc).all()
+        pm = build_pattern(9, (24, 24, 24))
+        mm = instantiate(pm, random_assignment(pm, 0))
+        data = mm.data.copy()
+        assert rank_mod_p(mm) == rank_mod_p(mm) == 405
+        assert (mm.data == data).all()
+
+    def test_every_product_operand_is_reduced(self, monkeypatch):
+        # The bounds of `_mul61` and `_matmul61` hold only for operands below
+        # p, so the kernel must fold each one before it multiplies.
+        calls = []
+
+        def checked(f):
+            def wrapped(*operands):
+                for v in operands:
+                    assert v.dtype != np.uint64 or int(v.max(initial=0)) < P
+                calls.append(f.__name__)
+                return f(*operands)
+            return wrapped
+
+        for name in ("_mul61", "_limbs", "_matmul61"):
+            monkeypatch.setattr(modular, name, checked(getattr(modular, name)))
+        split_at_most(monkeypatch, 32)
+        rng = np.random.default_rng(12)
+        left = rng.integers(0, P, size=(150, 90), dtype=np.uint64)
+        right = rng.integers(0, P, size=(90, 200), dtype=np.uint64)
+        assert _rank_m61_blocked(_matmul_mod_m61(left, right)) == 90
+        assert {"_mul61", "_limbs", "_matmul61"} <= set(calls)
+
+
 class TestVerifyGenericRank:
     def test_square_example(self):
         pm = build_pattern(4, (6, 6, 6))
@@ -475,6 +578,30 @@ class TestVerifyGenericRank:
         pm = build_pattern(3, (4, 4, 4))
         with pytest.raises(ValueError):
             verify_generic_rank(pm, 6, trials=0)
+
+
+class TestPinnedTrials:
+    # Trial details and oracle values as the kernel gave them before its
+    # arithmetic was fused; any inexact step would change a rank.
+    @pytest.mark.parametrize("dims, r, detail", [
+        ((12, 12, 12), 5, "rank 60 >= 60 at seed 0 (trial ranks [60])"),
+        ((8, 8, 8, 8), 3, "rank 54 >= 54 at seed 0 (trial ranks [54])"),
+        ((24, 24, 24), 9,
+         "no trial reached rank 504; ranks [405, 405, 405] (max 405) over seeds 0..2"),
+    ])
+    def test_verify_detail(self, dims, r, detail):
+        pm = build_pattern(r, dims)
+        assert verify_generic_rank(pm, pm.n_rows, trials=3, base_seed=0).detail == detail
+
+    @pytest.mark.parametrize("dims, r, dim", [
+        ((10, 10, 10), 6, 952),
+        ((12, 12, 12), 6, 1716),
+        ((6, 8, 10), 5, 465),
+        ((4, 4, 4, 4), 3, 214),
+        ((6, 6, 6, 6), 3, 1278),
+    ])
+    def test_oracle_values(self, dims, r, dim):
+        assert subspace_dimension_oracle(dims, r) == dim == dim_C_r(dims, r).dim
 
 
 class TestMinorDeterminant:
