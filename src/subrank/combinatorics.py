@@ -127,7 +127,8 @@ def maximal_uncrossed_block(
 ) -> Block:
     """Maximal t-block through o among orbits not in `crossed`.
 
-    `crossed` holds canonical representatives of crossed orbits.
+    `crossed` holds canonical representatives of crossed orbits.  The name
+    of q's orbit is its shift by 1 - q[0], so only uncrossed orbits are built.
     """
     if not 1 <= t <= k:
         raise ValueError(f"direction t={t} out of range [1, {k}]")
@@ -135,9 +136,9 @@ def maximal_uncrossed_block(
         raise ValueError(f"orbit of {o.canonical} is already crossed")
     orbits = []
     for q in substitution_family(o.canonical, t, r):
-        oq = orbit_of(q, r)
-        if oq.canonical not in crossed:
-            orbits.append(oq)
+        name = act(1 - q[0], q, r)
+        if name not in crossed:
+            orbits.append(orbit_of(name, r))
     orbits.sort(key=lambda x: x.canonical)
     return Block(direction=t, orbits=tuple(orbits))
 

@@ -21,11 +21,12 @@ products are taken as three float64 BLAS calls on 21-bit limbs.  Each
 update reduces once, as in the same paper's delayed reduction: its product
 is left unreduced below 4p, and a - product is taken as a + (4p - product)
 < 5p < 2^64 and folded once, in place in the product's own temporary.  The
-update runs in column strips of fixed width, so peak memory is about the
-matrix, its working copy and a few strip-sized temporaries, and it skips
-rows whose multipliers are all zero, which most rows of block-diagonal and
-unit-vector inputs are.  Other primes use the plain Python elimination that
-tests also use as the reference.
+update runs in column strips of fixed width, and the elimination
+overwrites its operand, so a trial that ranks the matrix it instantiated
+peaks at about that matrix and a few strip-sized temporaries.  The update
+skips rows whose multipliers are all zero, which most rows of
+block-diagonal and unit-vector inputs are.  Other primes use the plain
+Python elimination that tests also use as the reference.
 """
 
 from __future__ import annotations
@@ -95,8 +96,9 @@ def random_assignment(pm: PatternMatrix, seed: int, p: int = DEFAULT_PRIME) -> R
 # -- matrices ----------------------------------------------------------------
 
 # Largest dense uint64 matrix `instantiate` allocates, in bytes.  A rank
-# trial peaks at under three times the matrix: `verify` at n=100 peaks at
-# 367 MB RSS for a 138 MB matrix.
+# trial eliminates the matrix in place, so a large one peaks at well under
+# twice the matrix: `verify` at n=100 peaks at 216 MB RSS for a 138 MB
+# matrix.
 _DENSE_LIMIT = 1 << 30
 
 
@@ -172,6 +174,10 @@ _STRIP = 512
 _BASE_WIDTH = 16
 _BASE_CELLS = 1 << 14
 _PANEL = 128
+
+# `_lower_inverse` inverts a leaf's L' of up to this many rows by repeated
+# squaring, and a larger one by halving.
+_SQUARING_ROWS = 32
 
 
 def _fold61(x: np.ndarray) -> np.ndarray:
@@ -264,7 +270,8 @@ def _matmul61(xs: np.ndarray, y: np.ndarray) -> np.ndarray:
     np.multiply(ys[3 * k:], 4.0, out=ys[:2 * k])
     d = xs @ ys[:3 * k]                                  # d0 < 2^52
     acc = d.astype(np.uint64)
-    t, h = np.empty_like(acc), np.empty_like(acc)
+    t = np.empty_like(acc)
+    h = d.view(np.uint64)                   # d is dead from each copyto to the next matmul
     for j, keep in ((1, 40), (2, 19)):
         # d_j 2^(21 j) == (d_j mod 2^keep) 2^(61 - keep) + (d_j >> keep)
         np.matmul(xs, ys[j * k:(j + 3) * k], out=d)
@@ -309,13 +316,34 @@ def _rank_python(rows: list[list[int]], p: int, reverse_cols: bool = False) -> i
     return rank
 
 
+def _join_inverse(inv1: np.ndarray, inv2: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The inverse mod 2^61-1 of the block triangle [[L1, 0], [C, L2]] from
+    inv1 = L1^-1 and inv2 = L2^-1: [[L1^-1, 0], [-L2^-1 C L1^-1, L2^-1]]."""
+    g1, g = len(inv1), len(inv1) + len(inv2)
+    linv = np.zeros((g, g), dtype=np.uint64)
+    linv[:g1, :g1] = inv1
+    linv[g1:, g1:] = inv2
+    off = _matmul61(_limbs(inv2), _matmul_mod_m61(c, inv1))
+    linv[g1:, :g1] = _sub61(np.uint64(0), off)
+    return linv
+
+
 def _lower_inverse(lower: np.ndarray, invs: np.ndarray) -> np.ndarray:
     """L'^-1 mod 2^61-1 for L' = D + N, with N the strictly lower part of
     `lower` and D^-1 = diag(invs).
 
-    L' = D (I + M) with M = D^-1 N nilpotent, so L'^-1 = (I - M)(I + M^2)
-    (I + M^4)... D^-1, about 2 log2(g) products for g rows."""
+    Over _SQUARING_ROWS rows, invert the two diagonal halves and join them
+    with `_join_inverse`, about two g/2-sized products for g rows per level,
+    so O(g^3) in all.  Up to it, L' = D (I + M) with M = D^-1 N nilpotent, so
+    L'^-1 = (I - M)(I + M^2)(I + M^4)... D^-1, about 2 log2(g) products."""
     g = len(invs)
+    if g > _SQUARING_ROWS:
+        h = g // 2
+        return _join_inverse(
+            _lower_inverse(lower[:h, :h], invs[:h]),
+            _lower_inverse(lower[h:, h:], invs[h:]),
+            lower[h:, :h],
+        )
     m = _mulmod_m61(invs[:, None], np.tril(lower, -1))
     eye = np.eye(g, dtype=np.uint64)
     linv = _sub61(eye, m.copy())                         # I - M
@@ -337,18 +365,23 @@ def _update(
     below it, and F is the multiplier block of the rows below.  Only rows
     with a nonzero row of F change, which skips most rows of block-diagonal
     and unit-vector inputs; strips of _STRIP columns bound the temporaries.
-    F and L'^-1 are split into limbs once; each strip subtracts its
-    unreduced product (< 2^62.1) with one fold."""
+    When those rows are one contiguous run they are a slice, so each strip
+    reads a view of them instead of a gathered copy.  F and L'^-1 are split
+    into limbs once; each strip subtracts its unreduced product (< 2^62.1)
+    with one fold."""
     r1 = r0 + len(piv_cols)
-    f = a[r1:, piv_cols]
-    rows = r1 + np.flatnonzero(f.any(axis=1))
+    below = a[r1:]
+    f = below[:, piv_cols]
+    rows = np.flatnonzero(f.any(axis=1))
     if rows.size == 0:
         return
-    fs, ls = _limbs(f[rows - r1]), _limbs(linv)
+    if rows[-1] - rows[0] + 1 == rows.size:
+        rows = slice(int(rows[0]), int(rows[-1]) + 1)
+    fs, ls = _limbs(f[rows]), _limbs(linv)
     for s0 in range(c0, c1, _STRIP):
         s = slice(s0, min(s0 + _STRIP, c1))
         u = _fold61(_matmul61(ls, a[r0:r1, s]))
-        a[rows, s] = _sub61(a[rows, s], _matmul61(fs, u))
+        below[rows, s] = _sub61(below[rows, s], _matmul61(fs, u))
 
 
 def _factor(a: np.ndarray, r0: int, c0: int, c1: int) -> tuple[list[int], np.ndarray | None]:
@@ -377,13 +410,7 @@ def _factor(a: np.ndarray, r0: int, c0: int, c1: int) -> tuple[list[int], np.nda
         right, inv2 = _factor(a, r1, mid, c1)
         if inv2 is None:
             return left + right, None
-        g1, r2 = len(left), r1 + len(right)
-        linv = np.zeros((r2 - r0, r2 - r0), dtype=np.uint64)
-        linv[:g1, :g1] = inv1
-        linv[g1:, g1:] = inv2
-        off = _matmul61(_limbs(inv2), _matmul_mod_m61(a[r1:r2, left], inv1))
-        linv[g1:, :g1] = _sub61(np.uint64(0), off)
-        return left + right, linv
+        return left + right, _join_inverse(inv1, inv2, a[r1:r1 + len(right), left])
     rank = r0
     piv_cols = []
     invs = []
@@ -422,17 +449,17 @@ def _factor(a: np.ndarray, r0: int, c0: int, c1: int) -> tuple[list[int], np.nda
     return piv_cols, _lower_inverse(a[r0:rank, piv_cols], np.array(invs, dtype=np.uint64))
 
 
-def _rank_m61_blocked(a: np.ndarray) -> int:
-    """Rank mod 2^61-1 by recursive blocked Gaussian elimination on a copy."""
-    return len(_factor(a.copy(), 0, 0, a.shape[1])[0])
+def rank_mod_p(mm: ModularMatrix, overwrite: bool = False) -> int:
+    """Rank over F_p by exact Gaussian elimination; deterministic.
 
-
-def rank_mod_p(mm: ModularMatrix) -> int:
-    """Rank over F_p by exact Gaussian elimination; deterministic."""
+    Mod 2^61 - 1 the elimination works in place on a copy of `mm.data`, or,
+    with `overwrite`, on `mm.data` itself, which it then leaves eliminated:
+    pass it only for a matrix nothing reads afterwards."""
     if mm.n_rows == 0 or mm.n_cols == 0:
         return 0
     if mm.p == MERSENNE61:
-        return _rank_m61_blocked(mm.data)
+        a = mm.data if overwrite else mm.data.copy()
+        return len(_factor(a, 0, 0, mm.n_cols)[0])
     return _rank_python(mm.data.tolist(), mm.p)
 
 
@@ -454,8 +481,9 @@ def verify_generic_rank(
     ranks: list[int] = []
     for i in range(trials):
         seed = base_seed + i
-        mm = instantiate(pm, random_assignment(pm, seed, p))
-        rank = rank_mod_p(mm)
+        # The trial owns its matrix: the rank eliminates it in place, and no
+        # reference to it outlives the trial.
+        rank = rank_mod_p(instantiate(pm, random_assignment(pm, seed, p)), overwrite=True)
         ranks.append(rank)
         if rank >= expected:
             return Verdict(
@@ -502,9 +530,10 @@ def minor_determinant_check(
     if assignment is None:
         assignment = random_assignment(pm, seed, p)
     p, seed = assignment.p, assignment.seed
-    mm = instantiate(pm, assignment)
-    minor = ModularMatrix(pm.n_rows, pm.n_rows, p, mm.data[:, cols])
-    rank = rank_mod_p(minor)
+    # `take` copies the columns into a C-ordered array of their own, and the
+    # full matrix is dropped before the minor is eliminated in place.
+    minor = np.take(instantiate(pm, assignment).data, cols, axis=1)
+    rank = rank_mod_p(ModularMatrix(pm.n_rows, pm.n_rows, p, minor), overwrite=True)
     if rank < pm.n_rows:
         return Verdict(
             False, f"minor is singular mod {p} at seed {seed}: rank {rank} < {pm.n_rows}"
@@ -589,7 +618,7 @@ def subspace_dimension_oracle(
     check_dense_size(r, dims)
     pm = PatternMatrix(r, dims)
     mm = instantiate(pm, random_assignment(pm, seed, p))
-    return math.prod(dims) - pm.n_rows + rank_mod_p(mm)
+    return math.prod(dims) - pm.n_rows + rank_mod_p(mm, overwrite=True)
 
 
 # -- primality (CLI input validation) --------------------------------------------

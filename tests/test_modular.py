@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -21,7 +22,6 @@ from subrank.modular import (
     _matmul_mod_m61,
     _mul61,
     _mulmod_m61,
-    _rank_m61_blocked,
     _rank_python,
     _sub61,
     _update,
@@ -67,6 +67,28 @@ def reference_lower_inverse(lower: np.ndarray, invs: np.ndarray) -> np.ndarray:
             e = [(x - y) % p for x, y in zip(e, acc)]
         linv[i] = [int(invs[i]) * x % p for x in e]
     return linv
+
+
+def squaring_lower_inverse(lower: np.ndarray, invs: np.ndarray) -> np.ndarray:
+    """L'^-1 mod 2^61-1 by repeated squaring alone, as `_lower_inverse` takes
+    it for every size up to its squaring threshold: L' = D (I + M) with
+    M = D^-1 N nilpotent, so L'^-1 = (I - M)(I + M^2)(I + M^4)... D^-1."""
+    g = len(invs)
+    m = _mulmod_m61(invs[:, None], np.tril(lower, -1))
+    eye = np.eye(g, dtype=np.uint64)
+    linv = _sub61(eye, m.copy())                         # I - M
+    power, done = m, 2                                   # terms M^0..M^(done-1)
+    while done < g:
+        power = _matmul_mod_m61(power, power)            # M^done, zero diagonal
+        linv = _matmul_mod_m61(linv, eye + power)
+        done *= 2
+    return _mulmod_m61(invs[None, :], linv)
+
+
+def blocked_rank(a: np.ndarray, overwrite: bool = False) -> int:
+    """Rank mod 2^61-1 of `a` by the blocked kernel, through `rank_mod_p`;
+    `a` is left unchanged unless `overwrite`."""
+    return rank_mod_p(ModularMatrix(a.shape[0], a.shape[1], MERSENNE61, a), overwrite)
 
 
 def split_at_most(monkeypatch, width):
@@ -256,7 +278,7 @@ class TestRank:
             fwd = _rank_python(rows, p)
             rev = _rank_python(rows, p, reverse_cols=True)
             arr = np.array(rows, dtype=np.uint64)
-            assert fwd == rev == _rank_m61_blocked(arr)
+            assert fwd == rev == blocked_rank(arr)
 
     def test_blocked_kernel_agrees_with_reference(self, monkeypatch):
         rng = random.Random(2024)
@@ -291,7 +313,7 @@ class TestRank:
             arr = np.array(rows, dtype=np.uint64)
             for width in (4, 9, 128):
                 split_at_most(monkeypatch, width)
-                assert _rank_m61_blocked(arr) == want
+                assert blocked_rank(arr) == blocked_rank(arr.copy(), overwrite=True) == want
         assert _rank_python(cases[2], p) == 1
         assert _rank_python(cases[7], p) == 11
 
@@ -304,6 +326,17 @@ class TestRank:
         assert (_lower_inverse(lower, invs) == reference_lower_inverse(lower, invs)).all()
         top = np.full((g, g), p - 1, dtype=np.uint64)
         assert (_lower_inverse(top, top[0]) == reference_lower_inverse(top, top[0])).all()
+
+    @pytest.mark.parametrize("g", [1, 2, 17, 64, 127, 128])
+    def test_lower_inverse_matches_squaring_reference(self, g, monkeypatch):
+        p = MERSENNE61
+        rng = np.random.default_rng(100 + g)
+        lower = rng.integers(0, p, size=(g, g), dtype=np.uint64)
+        invs = rng.integers(1, p, size=g, dtype=np.uint64)
+        want = squaring_lower_inverse(lower, invs)
+        assert (_lower_inverse(lower, invs) == want).all()
+        monkeypatch.setattr(modular, "_SQUARING_ROWS", 1)        # halve down to 1 x 1
+        assert (_lower_inverse(lower, invs) == want).all()
 
     def test_panel_splits_at_midpoint_by_shape_rule(self, monkeypatch):
         # A range splits while it is wider than 16 columns and has more than
@@ -320,11 +353,11 @@ class TestRank:
         monkeypatch.setattr(modular, "_factor", recording)
         rng = np.random.default_rng(5)
         a = rng.integers(1, MERSENNE61, size=(600, 45), dtype=np.uint64)
-        assert _rank_m61_blocked(a) == 45
+        assert blocked_rank(a) == 45
         assert calls == [(0, 0, 45), (0, 0, 22), (22, 22, 45)]   # odd width rounds down
         calls.clear()
         a = rng.integers(1, MERSENNE61, size=(600, 128), dtype=np.uint64)
-        assert _rank_m61_blocked(a) == 128
+        assert blocked_rank(a) == 128
         assert calls == [
             (0, 0, 128),
             (0, 0, 64), (0, 0, 32), (0, 0, 16), (16, 16, 32),
@@ -336,7 +369,7 @@ class TestRank:
         # range with columns right of it is wider than 128.
         calls.clear()
         a = rng.integers(1, MERSENNE61, size=(600, 300), dtype=np.uint64)
-        assert _rank_m61_blocked(a) == 300
+        assert blocked_rank(a) == 300
         assert calls[:2] == [(0, 0, 300), (0, 0, 128)]
         assert (128, 128, 300) in calls
         assert all(c1 - c0 <= 128 for _, c0, c1 in calls if c1 < 300)
@@ -364,12 +397,13 @@ class TestRank:
             zero_bands(dense(150, 200), (0, 64)),
             zero_bands(dense(150, 200), (0, 100)),               # no pivot in the left half
         ]:
-            assert _rank_m61_blocked(a) == _rank_python(a.tolist(), p)
+            want = _rank_python(a.tolist(), p)
+            assert blocked_rank(a) == blocked_rank(a.copy(), overwrite=True) == want
         # Wider than the rows: they run out inside the left half.
         with monkeypatch.context() as mp:
             split_at_most(mp, 512)
             a = dense(60, 700)
-            assert _rank_m61_blocked(a) == _rank_python(a.tolist(), p) == 60
+            assert blocked_rank(a) == _rank_python(a.tolist(), p) == 60
 
         # Larger inputs split at several depths; 16-column parts never split.
         cases = [
@@ -378,9 +412,10 @@ class TestRank:
             zero_bands(dense(400, 500), (128, 192), (200, 208)),
             np.array(unit_and_block_diagonal(random.Random(4), 400, 300), dtype=np.uint64),
         ]
-        ranks = [_rank_m61_blocked(a) for a in cases]
+        ranks = [blocked_rank(a) for a in cases]
+        assert ranks == [blocked_rank(a.copy(), overwrite=True) for a in cases]
         split_at_most(monkeypatch, 16)
-        assert ranks == [_rank_m61_blocked(a) for a in cases]
+        assert ranks == [blocked_rank(a) for a in cases]
         assert ranks[:3] == [450, 400, 400]
 
     def test_factor_returns_inverse_exactly_when_used(self, monkeypatch):
@@ -418,14 +453,14 @@ class TestRank:
         left = rng.integers(0, p, size=(300, 120), dtype=np.uint64)
         right = rng.integers(0, p, size=(120, 400), dtype=np.uint64)
         a = _matmul_mod_m61(left, right)                 # rank 120, columns right
-        assert _rank_m61_blocked(a) == _rank_python(a.tolist(), p) == 120
+        assert blocked_rank(a) == _rank_python(a.tolist(), p) == 120
         assert len(composed_at) >= 3
         for a in [
             rng.integers(0, p, size=(200, 90), dtype=np.uint64),     # columns run out
             rng.integers(0, p, size=(70, 200), dtype=np.uint64),     # rows run out
             np.array(unit_and_block_diagonal(random.Random(3), 90, 80), dtype=np.uint64),
         ]:
-            assert _rank_m61_blocked(a) == _rank_python(a.tolist(), p)
+            assert blocked_rank(a) == _rank_python(a.tolist(), p)
         assert seen["none"] and seen["inverse"]
 
     def test_recursive_panel_on_instantiated_patterns(self):
@@ -458,7 +493,7 @@ class TestRank:
         assert _rank_python(rows, MERSENNE61) == 24
         assert _rank_python(rows, MERSENNE61, reverse_cols=True) == 24
         split_at_most(monkeypatch, 7)
-        assert _rank_m61_blocked(mm.data) == 24
+        assert blocked_rank(mm.data) == 24
 
 
 P = MERSENNE61
@@ -533,6 +568,7 @@ class TestFusedArithmetic:
         data = mm.data.copy()
         assert rank_mod_p(mm) == rank_mod_p(mm) == 405
         assert (mm.data == data).all()
+        assert rank_mod_p(mm, overwrite=True) == 405
 
     def test_every_product_operand_is_reduced(self, monkeypatch):
         # The bounds of `_mul61` and `_matmul61` hold only for operands below
@@ -553,7 +589,7 @@ class TestFusedArithmetic:
         rng = np.random.default_rng(12)
         left = rng.integers(0, P, size=(150, 90), dtype=np.uint64)
         right = rng.integers(0, P, size=(90, 200), dtype=np.uint64)
-        assert _rank_m61_blocked(_matmul_mod_m61(left, right)) == 90
+        assert blocked_rank(_matmul_mod_m61(left, right)) == 90
         assert {"_mul61", "_limbs", "_matmul61"} <= set(calls)
 
 
@@ -578,6 +614,20 @@ class TestVerifyGenericRank:
         pm = build_pattern(3, (4, 4, 4))
         with pytest.raises(ValueError):
             verify_generic_rank(pm, 6, trials=0)
+
+    def test_trial_eliminates_its_matrix_in_place(self):
+        # The trial holds its dense matrix once: a working copy of it would
+        # add a whole matrix to the peak (4.3 times the matrix with one).
+        pm = build_pattern(10, (40, 40, 40))
+        dense = pm.n_rows * pm.n_cols * 8
+        tracemalloc.start()
+        try:
+            verdict = verify_generic_rank(pm, pm.n_rows, trials=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.ok
+        assert peak < 3.5 * dense
 
 
 class TestPinnedTrials:
