@@ -13,6 +13,14 @@ block that still fits into the unused column slots of its direction.
 A counting argument guarantees such a direction exists whenever the matrix
 has at least as many columns as rows, so running out of choices indicates
 an implementation bug, not a bad input.
+
+A block's steps follow from the block alone.  Its rows outside its own
+orbits are crossed, because it is maximal uncrossed, and its slots are
+free, so a variable's live occurrences are its block rows not yet crossed
+by this block, in columns not yet used in the step's slot.  The search
+therefore keeps only the crossed orbits and the free slots, and never
+looks up a row or column index; `validate` replays the occurrences
+through the pattern's index instead.
 """
 
 from __future__ import annotations
@@ -75,11 +83,9 @@ class Verdict:
 
 @dataclass
 class CrossState:
-    """Mutable crossing state shared by the block-crossing steps."""
+    """Crossed orbits and, per direction, the slots with no column crossed."""
 
     pm: PatternMatrix
-    crossed_row_idx: set[int] = field(default_factory=set)
-    crossed_col_idx: set[int] = field(default_factory=set)
     crossed_orbits: set[tuple[int, ...]] = field(default_factory=set)
     remaining_slots: dict[int, list[int]] = field(default_factory=dict)
 
@@ -92,8 +98,7 @@ class CrossState:
 
     def dump(self) -> str:
         return (
-            f"crossed {len(self.crossed_row_idx)}/{self.pm.n_rows} rows, "
-            f"{len(self.crossed_col_idx)}/{self.pm.n_cols} cols, "
+            f"crossed {len(self.crossed_orbits) * self.pm.r}/{self.pm.n_rows} rows, "
             f"orbits crossed: {sorted(self.crossed_orbits)}, "
             f"remaining slots: {self.remaining_slots}"
         )
@@ -108,76 +113,68 @@ def cross_block(
     """Cross out exactly the rows of `block` and the columns (t, m, s) with
     m in [r], s in `slots`, one variable at a time.
 
-    Within the block, slots are processed in ascending order; within a
-    slot, candidate variables are swept in cyclic-shift order starting from
-    the block's smallest canonical representative.  This sweep reproduces
-    the row monomial of the worked square example when replayed on it.
+    Slots are processed in ascending order.  Within a slot, the variables
+    of w_a, the shifts by a = 0..r-1 of the block's smallest canonical
+    representative w0, are swept in order of a; this reproduces the row
+    monomial of the worked square example.  The row w_a with m at position
+    t is the shift by a of w0 with x = (m - 1 - a) mod r + 1 at position t,
+    so it is in the block iff x is in X, the set of x for which the orbit
+    of w0[t:=x] is in the block.  Every other such row is crossed, since
+    the block is maximal uncrossed, so in slot s the variable of w_a crosses
+    each m with x in X, with that row not yet crossed in this block and with
+    column (t, m, s) not yet used.  `state` changes only once the block is
+    crossed.
     """
-    t = block.direction
-    r = pm.r
+    t, r = block.direction, pm.r
     slots = sorted(slots)
     if len(slots) != block.size:
         raise ValueError(f"need exactly {block.size} slots, got {len(slots)}")
     for o in block.orbits:
         if o.canonical in state.crossed_orbits:
             raise ValueError(f"orbit of {o.canonical} is already crossed")
-    if block.size and block.orbits != maximal_uncrossed_block(
+    if not block.size:
+        return []
+    if block.orbits != maximal_uncrossed_block(
         block.orbits[0], t, state.crossed_orbits, r, pm.k
     ).orbits:
         raise ValueError(f"{t}-block through {block.orbits[0].canonical} is not maximal uncrossed")
-    col_set = set()
+    free = set(state.remaining_slots[t])
     for s in slots:
-        for m in range(1, r + 1):
-            j = pm.col_pos.get((t, m, s))
-            if j is None:
-                raise ValueError(f"column ({t},{m},{s}) does not exist")
-            if j in state.crossed_col_idx:
-                raise ValueError(f"column ({t},{m},{s}) is already crossed")
-            col_set.add(j)
-    if not block.size:
-        return []
+        if slots.count(s) > 1:
+            raise ValueError(f"slot {s} of direction {t} is given twice")
+        if s not in free:
+            raise ValueError(f"slot {s} of direction {t} is already used or out of range")
 
-    block_rows = {pm.row_pos[p] for p in block.rows}
+    w = block.orbits[0].members
+    fibre = w[0][: t - 1] + w[0][t:]
+    # X: coordinate t of the member of each block orbit that agrees with w0 off t.
+    xs = [p[t - 1] for o in block.orbits for p in o.members if p[: t - 1] + p[t:] == fibre]
+    # live[a]: the m whose row w_a[t:=m] is in the block and not yet crossed.
+    live = [{(x - 1 + a) % r + 1 for x in xs} for a in range(r)]
     steps: list[Step] = []
     for s in slots:
-        for rep in block.orbits[0].members:
-            v = Variable(t=t, s=s, reduced=rep[: t - 1] + rep[t:])
-            live = [
-                (i, j)
-                for i, j in pm.var_occ(v)
-                if i not in state.crossed_row_idx and j not in state.crossed_col_idx
-            ]
-            if not live:
+        unused = set(range(1, r + 1))
+        for rep, left in zip(w, live):
+            ms = sorted(left & unused)
+            if not ms:
                 continue
-            bad = [(i, j) for i, j in live if i not in block_rows or j not in col_set]
-            if bad:
-                raise CrossingStuckError(
-                    f"occurrences of {v} escape the block: {bad}; " + state.dump()
-                )
-            state.crossed_row_idx.update(i for i, _ in live)
-            state.crossed_col_idx.update(j for _, j in live)
-            steps.append(
-                Step(
-                    variable=v,
-                    rows=tuple(sorted(pm.rows[i] for i, _ in live)),
-                    cols=tuple(sorted(pm.cols[j] for _, j in live)),
-                )
-            )
-        uncrossed_cols = [
-            pm.cols[j] for j in col_set
-            if pm.cols[j][2] == s and j not in state.crossed_col_idx
-        ]
-        if uncrossed_cols:
+            left.difference_update(ms)
+            unused.difference_update(ms)
+            head, tail = rep[: t - 1], rep[t:]
+            steps.append(Step(
+                variable=Variable(t=t, s=s, reduced=head + tail),
+                rows=tuple((*head, m, *tail) for m in ms),
+                cols=tuple((t, m, s) for m in ms),
+            ))
+        if unused:
             raise CrossingStuckError(
                 f"slot {s} of direction {t} left columns uncrossed: "
-                f"{uncrossed_cols}; " + state.dump()
+                f"{[(t, m, s) for m in sorted(unused)]}; " + state.dump()
             )
-
-    leftover = [p for p in block.rows if pm.row_pos[p] not in state.crossed_row_idx]
+    leftover = [(*rep[: t - 1], m, *rep[t:]) for rep, left in zip(w, live) for m in sorted(left)]
     if leftover:
         raise CrossingStuckError(f"block rows left uncrossed: {leftover}; " + state.dump())
-    for o in block.orbits:
-        state.crossed_orbits.add(o.canonical)
+    state.crossed_orbits.update(o.canonical for o in block.orbits)
     state.remaining_slots[t] = [s for s in state.remaining_slots[t] if s not in slots]
     return steps
 
@@ -193,8 +190,8 @@ def _assemble(pm: PatternMatrix, steps: list[Step]) -> Certificate:
 
 
 # Most rows a certificate search takes on.  Finding, validating and writing
-# a certificate peaks at about 2.2 KB per row (`certificate --out` peaks at
-# 112 MB for 35,904 rows and 355 MB for 148,824), so this is about 1.1 GiB.
+# a certificate peaks at about 2.4 KB per row (`certificate --out` peaks at
+# 115 MB for 35,904 rows and 372 MB for 148,824), so this is about 1.2 GiB.
 # (2000,2000,2000) at r=77 has 438,900 rows.
 _CERTIFICATE_LIMIT = 1 << 19
 

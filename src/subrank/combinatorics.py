@@ -103,10 +103,6 @@ class Block:
     def size(self) -> int:
         return len(self.orbits)
 
-    @property
-    def rows(self) -> list[tuple[int, ...]]:
-        return [p for o in self.orbits for p in o.members]
-
 
 def substitution_family(p: tuple[int, ...], t: int, r: int) -> list[tuple[int, ...]]:
     """Admissible tuples obtained from p by substituting coordinate t."""

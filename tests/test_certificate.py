@@ -106,8 +106,8 @@ class TestCrossBlock:
         assert block.size == 3
         steps = cross_block(pm, state, block, [1, 2, 3])
         assert sum(st.multiplicity for st in steps) == 15
-        assert len(state.crossed_row_idx) == 15
-        assert len(state.crossed_col_idx) == 15
+        assert len({p for st in steps for p in st.rows}) == 15
+        assert len({c for st in steps for c in st.cols}) == 15
 
     def test_worked_example_first_block(self):
         pm = build_pattern(4, (6, 6, 6))
@@ -115,8 +115,8 @@ class TestCrossBlock:
         block = maximal_uncrossed_block(orbit_of((1, 2, 3), 4), 1, set(), 4, 3)
         assert block.size == 2
         steps = cross_block(pm, state, block, [1, 2])
-        assert len(state.crossed_row_idx) == 8
-        assert len(state.crossed_col_idx) == 8
+        assert len({p for st in steps for p in st.rows}) == 8
+        assert len({c for st in steps for c in st.cols}) == 8
         powers = sorted(st.multiplicity for st in steps)
         assert powers == [1, 1, 1, 1, 2, 2]
 
@@ -131,6 +131,45 @@ class TestCrossBlock:
         block = maximal_uncrossed_block(orbit_of((1, 2, 3), 4), 1, set(), 4, 3)
         with pytest.raises(ValueError, match="slots"):
             cross_block(pm, state, block, [1])
+
+    @pytest.mark.parametrize("slots, message", [
+        ([1, 1], "slot 1 of direction 1 is given twice"),
+        ([2, 0], "slot 0 of direction 1 is already used or out of range"),
+        ([2, 5], "slot 5 of direction 1 is already used or out of range"),
+        ([1, 3], "slot 3 of direction 1 is already used or out of range"),
+    ])
+    def test_bad_slots_rejected_before_any_crossing(self, slots, message):
+        # (8,6,6) at r=4 has slots 1..4 in direction 1; 3 and 4 are used below.
+        pm = build_pattern(4, (8, 6, 6))
+        state = CrossState(pm)
+        first = maximal_uncrossed_block(orbit_of((1, 2, 3), 4), 1, set(), 4, 3)
+        cross_block(pm, state, first, [3, 4])
+        crossed, remaining = set(state.crossed_orbits), dict(state.remaining_slots)
+        block = maximal_uncrossed_block(orbit_of((1, 2, 4), 4), 1, crossed, 4, 3)
+        assert block.size == 2
+        with pytest.raises(ValueError, match=message):
+            cross_block(pm, state, block, slots)
+        assert state.crossed_orbits == crossed
+        assert state.remaining_slots == remaining
+
+    def test_matches_reference_crossing(self):
+        from itertools import combinations_with_replacement, product
+
+        from subrank.formulas import classify, generic_subrank
+        from reference_crossing import reference_certificate
+
+        grid = (
+            list(product(range(2, 11), repeat=3))
+            + list(combinations_with_replacement(range(2, 7), 4))
+            + list(combinations_with_replacement(range(2, 5), 5))
+        )
+        shapes = [(r, dims) for dims in grid for r in range(1, min(dims) + 1)
+                  if classify(dims, r).certificate_regime]
+        shapes += [(generic_subrank((n, n, n)).q, (n, n, n)) for n in range(11, 41)]
+        assert len(shapes) == 2461
+        for r, dims in shapes:
+            pm = build_pattern(r, dims)
+            assert find_certificate(pm) == reference_certificate(pm), (r, dims)
 
 
 class TestScriptedCertificate:
@@ -155,6 +194,16 @@ class TestScriptedCertificate:
         pm = build_pattern(4, (6, 6, 6))
         script = [(1, (1, 2, 3), [1, 2]), (2, (2, 3, 4), [1])]
         with pytest.raises(ValueError, match="step 1"):
+            scripted_certificate(pm, script)
+
+    @pytest.mark.parametrize("script, message", [
+        ([(1, (1, 2, 3), [1, 1])], "script step 0: slot 1 of direction 1 is given twice"),
+        ([(2, (1, 2, 3), [1, 2]), (2, (1, 2, 4), [2, 1])],
+         "script step 1: slot 1 of direction 2 is already used or out of range"),
+    ])
+    def test_bad_slot_rejected_with_index(self, script, message):
+        pm = build_pattern(4, (6, 6, 6))
+        with pytest.raises(ValueError, match=message):
             scripted_certificate(pm, script)
 
 
