@@ -18,9 +18,9 @@ A block's steps follow from the block alone.  Its rows outside its own
 orbits are crossed, because it is maximal uncrossed, and its slots are
 free, so a variable's live occurrences are its block rows not yet crossed
 by this block, in columns not yet used in the step's slot.  The search
-therefore keeps only the crossed orbits and the free slots, and never
-looks up a row or column index; `validate` replays the occurrences
-through the pattern's index instead.
+therefore keeps only the crossed orbits and the free slots.  `validate`
+shares none of this: it replays each step on the (row tuple, column
+triple) positions that the entry rule, `occurrences`, gives its variable.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .combinatorics import Block, all_orbits, count_rows, maximal_uncrossed_block, orbit_of
-from .pattern import PatternMatrix, Variable, parse_variable
+from .combinatorics import Block, act, all_orbits, count_rows, maximal_uncrossed_block, orbit_of
+from .pattern import PatternMatrix, Variable, occurrences, parse_variable
 
 
 class TooFewColumnsError(ValueError):
@@ -146,9 +146,10 @@ def cross_block(
             raise ValueError(f"slot {s} of direction {t} is already used or out of range")
 
     w = block.orbits[0].members
-    fibre = w[0][: t - 1] + w[0][t:]
-    # X: coordinate t of the member of each block orbit that agrees with w0 off t.
-    xs = [p[t - 1] for o in block.orbits for p in o.members if p[: t - 1] + p[t:] == fibre]
+    # X: coordinate t of the member of each block orbit that agrees with w0
+    # off t, that is, of the shift of its name that matches w0 at u != t.
+    u = 1 if t == 1 else 0
+    xs = [act(w[0][u] - o.canonical[u], o.canonical, r)[t - 1] for o in block.orbits]
     # live[a]: the m whose row w_a[t:=m] is in the block and not yet crossed.
     live = [{(x - 1 + a) % r + 1 for x in xs} for a in range(r)]
     steps: list[Step] = []
@@ -190,9 +191,9 @@ def _assemble(pm: PatternMatrix, steps: list[Step]) -> Certificate:
 
 
 # Most rows a certificate search takes on.  Finding, validating and writing
-# a certificate peaks at about 2.4 KB per row (`certificate --out` peaks at
-# 115 MB for 35,904 rows and 372 MB for 148,824), so this is about 1.2 GiB.
-# (2000,2000,2000) at r=77 has 438,900 rows.
+# a certificate peaks at about 0.8 KB per row (`certificate --out` peaks at
+# 139 MB for 148,824 rows and 350 MB for the 438,900 of (2000,2000,2000) at
+# r=77), so this is about 0.4 GiB.
 _CERTIFICATE_LIMIT = 1 << 19
 
 
@@ -274,28 +275,26 @@ def validate(pm: PatternMatrix, cert: Certificate) -> Verdict:
     the search: each step's declared multiplicity, rows and columns must
     match the live occurrences of its variable at that point, and at the
     end every row must be crossed with total degree equal to the row count.
+    Occurrences come from the entry rule alone: of the pattern only r, k,
+    dims and the closed-form row count are read.
     """
     if cert.r != pm.r or cert.dims != pm.dims:
         return Verdict(False, f"certificate is for r={cert.r}, dims={cert.dims}, "
                               f"not r={pm.r}, dims={pm.dims}")
-    crossed_rows: set[int] = set()
-    crossed_cols: set[int] = set()
+    crossed_rows: set[tuple[int, ...]] = set()
+    crossed_cols: set[tuple[int, int, int]] = set()
     seen: set[Variable] = set()
     for idx, step in enumerate(cert.steps):
         v = step.variable
         if v in seen:
             return Verdict(False, f"variable {v} appears in two steps", idx)
         seen.add(v)
-        occ = pm.var_occ(v)
+        occ = occurrences(pm, v)
         if not occ:
             return Verdict(False, f"unknown variable {v}", idx)
-        live = [(i, j) for i, j in occ if i not in crossed_rows and j not in crossed_cols]
+        live = [(p, c) for p, c in occ if p not in crossed_rows and c not in crossed_cols]
         if not live:
             return Verdict(False, f"variable {v} has no live occurrence", idx)
-        live_rows = [i for i, _ in live]
-        live_cols = [j for _, j in live]
-        if len(set(live_rows)) != len(live) or len(set(live_cols)) != len(live):
-            return Verdict(False, f"occurrences of {v} collide in a row or column", idx)
         if step.multiplicity != len(live):
             return Verdict(
                 False,
@@ -303,12 +302,14 @@ def validate(pm: PatternMatrix, cert: Certificate) -> Verdict:
                 f"but {len(live)} occurrences are live",
                 idx,
             )
-        if set(step.rows) != {pm.rows[i] for i in live_rows}:
+        live_rows = {p for p, _ in live}
+        live_cols = {c for _, c in live}
+        if set(step.rows) != live_rows:
             return Verdict(False, f"declared rows of step {idx} do not match", idx)
-        if set(step.cols) != {pm.cols[j] for j in live_cols}:
+        if set(step.cols) != live_cols:
             return Verdict(False, f"declared columns of step {idx} do not match", idx)
-        crossed_rows.update(live_rows)
-        crossed_cols.update(live_cols)
+        crossed_rows |= live_rows
+        crossed_cols |= live_cols
     if len(crossed_rows) != pm.n_rows:
         return Verdict(
             False,
@@ -326,8 +327,9 @@ def validate(pm: PatternMatrix, cert: Certificate) -> Verdict:
 # -- serialization ---------------------------------------------------------
 
 
-def certificate_to_json(cert: Certificate) -> str:
-    doc = {
+def certificate_doc(cert: Certificate) -> dict:
+    """JSON document of `cert`, with stable key order."""
+    return {
         "r": cert.r,
         "dims": list(cert.dims),
         "steps": [
@@ -342,7 +344,10 @@ def certificate_to_json(cert: Certificate) -> str:
             {"var": v.label, "power": power} for v, power in cert.monomial
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=False)
+
+
+def certificate_to_json(cert: Certificate) -> str:
+    return json.dumps(certificate_doc(cert), indent=2)
 
 
 def certificate_from_json(text: str) -> Certificate:

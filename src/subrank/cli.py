@@ -16,8 +16,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
-from .certificate import certificate_to_json, check_certificate_size, find_certificate, validate
+from .certificate import certificate_doc, check_certificate_size, find_certificate, validate
 from .combinatorics import count_rows
 from .formulas import classify, dim_C_r, generic_subrank, pattern_col_count
 from .modular import (
@@ -30,7 +31,7 @@ from .modular import (
     subspace_dimension_oracle,
     verify_generic_rank,
 )
-from .pattern import build_pattern, check_export_size, pattern_to_coordinate_list, pattern_to_json
+from .pattern import build_pattern, check_export_size, pattern_doc, pattern_to_coordinate_list
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -53,14 +54,16 @@ def _default_seed() -> int:
         raise ValueError(f"SUBRANK_SEED must be an integer, got {text!r}") from None
 
 
-def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
+def _write(content: str | dict, out: str | None) -> None:
+    """Write text as is, or stream a dict as indented JSON, to the file
+    `out`, or to stdout when `out` is None; there JSON ends with a newline."""
+    with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="ascii") as fh:
+        if isinstance(content, str):
+            fh.write(content)
+        else:
+            json.dump(content, fh, indent=2)
+            if out is None:
+                fh.write("\n")
 
 
 def _check_prime(p: int) -> None:
@@ -112,12 +115,9 @@ def cmd_certificate(args: argparse.Namespace) -> int:
     verdict = validate(pm, cert)
     print(f"certificate: degree {cert.degree}, {len(cert.steps)} steps")
     print(f"validation: {'ok' if verdict.ok else 'FAILED'} ({verdict.detail})")
-    text = certificate_to_json(cert)
+    _write(certificate_doc(cert), args.out or None)
     if args.out:
-        _write(text, args.out)
         print(f"wrote {args.out}")
-    else:
-        print(text)
     return 0 if verdict.ok else 1
 
 
@@ -186,13 +186,13 @@ def cmd_export(args: argparse.Namespace) -> int:
         check_export_size(args.r, args.dims)
     pm = build_pattern(args.r, args.dims)
     if args.format == "json":
-        text = pattern_to_json(pm)
+        content = pattern_doc(pm)
     elif args.format == "coord":
-        text = pattern_to_coordinate_list(pm)
+        content = pattern_to_coordinate_list(pm)
     else:
         mm = instantiate(pm, random_assignment(pm, args.seed, args.prime))
-        text = modular_to_coordinate_list(mm)
-    _write(text, args.out)
+        content = modular_to_coordinate_list(mm)
+    _write(content, args.out)
     return 0
 
 

@@ -15,7 +15,7 @@ Indices are 1-based throughout; residue 0 of the shift maps back to r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 
@@ -60,16 +60,20 @@ class Orbit:
     """Cyclic-shift orbit of a row tuple; always has exactly r members.
 
     `canonical` is the member whose first coordinate is 1 (the
-    lexicographically smallest); `members[a]` is its shift by a.
+    lexicographically smallest); `members[a]` is its shift by a, derived
+    on each access.
     """
 
     canonical: tuple[int, ...]
     r: int
-    members: tuple[tuple[int, ...], ...] = field(compare=False)
+
+    @property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(act(a, self.canonical, self.r) for a in range(self.r))
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.r
 
 
 def orbit_of(p: tuple[int, ...], r: int) -> Orbit:
@@ -83,9 +87,7 @@ def orbit_of(p: tuple[int, ...], r: int) -> Orbit:
         raise ValueError(f"{p} is not an admissible row tuple")
     if any(c < 1 or c > r for c in p):
         raise ValueError(f"{p} has coordinates outside [1, {r}]")
-    canonical = act(1 - p[0], p, r)
-    members = tuple(act(a, canonical, r) for a in range(r))
-    return Orbit(canonical=canonical, r=r, members=members)
+    return Orbit(canonical=act(1 - p[0], p, r), r=r)
 
 
 @dataclass(frozen=True)
@@ -104,16 +106,6 @@ class Block:
         return len(self.orbits)
 
 
-def substitution_family(p: tuple[int, ...], t: int, r: int) -> list[tuple[int, ...]]:
-    """Admissible tuples obtained from p by substituting coordinate t."""
-    out = []
-    for v in range(1, r + 1):
-        q = p[: t - 1] + (v,) + p[t:]
-        if is_admissible(q):
-            out.append(q)
-    return out
-
-
 def maximal_uncrossed_block(
     o: Orbit,
     t: int,
@@ -123,20 +115,20 @@ def maximal_uncrossed_block(
 ) -> Block:
     """Maximal t-block through o among orbits not in `crossed`.
 
-    `crossed` holds canonical representatives of crossed orbits.  The name
-    of q's orbit is its shift by 1 - q[0], so only uncrossed orbits are built.
+    `crossed` holds canonical representatives of crossed orbits.  The
+    block's orbits are those of the admissible tuples q that differ from
+    o's name only in coordinate t; q's orbit is named by its shift by
+    1 - q[0], so only uncrossed orbits are built.
     """
     if not 1 <= t <= k:
         raise ValueError(f"direction t={t} out of range [1, {k}]")
     if o.canonical in crossed:
         raise ValueError(f"orbit of {o.canonical} is already crossed")
-    orbits = []
-    for q in substitution_family(o.canonical, t, r):
-        name = act(1 - q[0], q, r)
-        if name not in crossed:
-            orbits.append(orbit_of(name, r))
-    orbits.sort(key=lambda x: x.canonical)
-    return Block(direction=t, orbits=tuple(orbits))
+    p = o.canonical
+    family = (p[: t - 1] + (x,) + p[t:] for x in range(1, r + 1))
+    names = sorted(act(1 - q[0], q, r) for q in family if is_admissible(q))
+    orbits = tuple(Orbit(canonical=n, r=r) for n in names if n not in crossed)
+    return Block(direction=t, orbits=orbits)
 
 
 def block_intersection_count(b1: Block, b2: Block) -> int:
@@ -151,4 +143,5 @@ def block_intersection_count(b1: Block, b2: Block) -> int:
 def all_orbits(r: int, k: int) -> list[Orbit]:
     """Orbits partitioning the admissible row set, sorted by canonical:
     one per admissible row whose first coordinate is 1."""
-    return [orbit_of(p, r) for p in enumerate_rows(r, k) if p[0] == 1]
+    names = ((1, *q) for q in product(range(1, r + 1), repeat=k - 1))
+    return [Orbit(canonical=p, r=r) for p in names if is_admissible(p)]

@@ -498,11 +498,8 @@ def verify_generic_rank(
 
 
 def _certificate_columns(pm: PatternMatrix, cert: Certificate) -> list[int]:
-    cols: list[int] = []
-    for st in cert.steps:
-        for c in st.cols:
-            cols.append(pm.col_pos[c])
-    return sorted(cols)
+    col_pos = {c: j for j, c in enumerate(pm.cols)}
+    return sorted(col_pos[c] for st in cert.steps for c in st.cols)
 
 
 def minor_determinant_check(
@@ -579,10 +576,11 @@ def brute_force_uniqueness(pm: PatternMatrix, cert: Certificate) -> Verdict:
     if len(cols) != pm.n_rows:
         return Verdict(False, "certificate minor is not square")
     entries: list[list[str | None]] = []
+    col_triples = pm.cols
     for p_row in pm.rows:
         row = []
         for j in cols:
-            v = pm.entry(p_row, pm.cols[j])
+            v = pm.entry(p_row, col_triples[j])
             row.append(None if v is None else v.label)
         entries.append(row)
     monomial = {v.label: power for v, power in cert.monomial}

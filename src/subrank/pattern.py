@@ -50,14 +50,13 @@ def parse_variable(label: str) -> Variable:
 
 
 class PatternMatrix:
-    """Immutable sparse symbolic matrix plus row and column indexes.
+    """Immutable sparse symbolic matrix, stored as its parameters (r, dims).
 
-    Only the row and column indexes are stored.  `entries()` computes the
-    nonzeros from the entry rule on each call, as three parallel integer
-    arrays sorted by row, then column, and `nnz` and `n_vars` are closed
-    forms in (r, dims).  Variables are numbered in lexicographic
-    (t, s, reduced) order; nothing is stored per variable, since `entry`
-    and `var_occ` derive a variable's entries from the rule.
+    All else is derived on each access, with no cache: `rows` and `cols`
+    list the row tuples and column triples in lexicographic order, the
+    counts are closed forms, and `entries()` computes the nonzeros from the
+    entry rule as three integer arrays sorted by row, then column.
+    Variables are numbered in lexicographic (t, s, reduced) order.
     """
 
     def __init__(self, r: int, dims: tuple[int, ...]):
@@ -74,25 +73,29 @@ class PatternMatrix:
         self.r = r
         self.dims = tuple(dims)
         self.k = k
-        self.rows: tuple[tuple[int, ...], ...] = tuple(enumerate_rows(r, k))
-        self.cols: tuple[tuple[int, int, int], ...] = tuple(
-            (t, m, s)
-            for t in range(1, k + 1)
-            for m in range(1, r + 1)
-            for s in range(1, dims[t - 1] - r + 1)
-        )
-        self.row_pos = {p: i for i, p in enumerate(self.rows)}
-        self.col_pos = {c: j for j, c in enumerate(self.cols)}
 
     # -- basic facts ------------------------------------------------------
 
     @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(enumerate_rows(self.r, self.k))
+
+    @property
+    def cols(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(
+            (t, m, s)
+            for t in range(1, self.k + 1)
+            for m in range(1, self.r + 1)
+            for s in range(1, self.dims[t - 1] - self.r + 1)
+        )
+
+    @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return count_rows(self.r, self.k)
 
     @property
     def n_cols(self) -> int:
-        return len(self.cols)
+        return self.r * (sum(self.dims) - self.k * self.r)
 
     # The admissible rows are closed under permuting coordinates, so every
     # direction has the same reduced tuples: the non-constant (k-1)-tuples.
@@ -102,9 +105,8 @@ class PatternMatrix:
 
     @property
     def n_vars(self) -> int:
-        if not self.rows:
-            return 0
-        return (self.r ** (self.k - 1) - self.r) * (sum(self.dims) - self.k * self.r)
+        n_reduced = self.r ** (self.k - 1) - self.r if self.n_rows else 0
+        return n_reduced * (sum(self.dims) - self.k * self.r)
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(row, column, variable number) index arrays of every nonzero,
@@ -137,30 +139,14 @@ class PatternMatrix:
             np.hstack(var_blocks).ravel(),
         )
 
-    def var_occ(self, v: Variable) -> list[tuple[int, int]]:
-        """(row index, column index) of every occurrence of v, by row.
-
-        By the entry rule, v = a^{t,s}_w sits at row w with m inserted at
-        position t and column (t, m, s), for each m in [r] that makes the
-        row admissible.  Empty when v is not a variable of this matrix.
-        """
-        t, s, w = v.t, v.s, v.reduced
-        j = self.col_pos.get((t, 1, s))  # None unless t in [k], s in [n_t - r]
-        if j is None:
-            return []
-        stride = self.dims[t - 1] - self.r
-        head, tail, get = w[: t - 1], w[t - 1 :], self.row_pos.get
-        occ = []
-        for m in range(1, self.r + 1):
-            i = get((*head, m, *tail))
-            if i is not None:
-                occ.append((i, j + (m - 1) * stride))
-        return occ
-
     def entry(self, p: tuple[int, ...], c: tuple[int, int, int]) -> Variable | None:
         """Variable at row p, column c = (t, m, s); None where the matrix is zero."""
+        r, k = self.r, self.k
         t, m, s = c
-        if c not in self.col_pos or p not in self.row_pos:
+        if not (
+            1 <= t <= k and 1 <= m <= r and 1 <= s <= self.dims[t - 1] - r
+            and len(p) == k and all(1 <= x <= r for x in p) and max(map(p.count, p)) <= k - 2
+        ):
             raise KeyError(f"position ({p}, {c}) outside the matrix")
         if p[t - 1] != m:
             return None
@@ -183,9 +169,7 @@ class PatternMatrix:
 
 def build_pattern(r: int, dims: tuple[int, ...]) -> PatternMatrix:
     """Construct the pattern matrix for parameters (r, dims)."""
-    pm = PatternMatrix(r, tuple(dims))
-    assert pm.n_rows == count_rows(r, pm.k)
-    return pm
+    return PatternMatrix(r, tuple(dims))
 
 
 def occurrences(
@@ -193,16 +177,28 @@ def occurrences(
 ) -> set[tuple[tuple[int, ...], tuple[int, int, int]]]:
     """All nonzero positions of v as (row tuple, column triple) pairs.
 
+    The entry rule: v = a^{t,s}_w sits at row w[t:=m], the row w with m
+    inserted at position t, and column (t, m, s), for each m in [r] that
+    makes the row admissible, that is, each m that w holds at most k-3
+    times, provided no value fills k-1 of the row's other coordinates.
     Positions of one variable have pairwise distinct rows and pairwise
     distinct columns.  Unknown variables give the empty set.
     """
-    return {(pm.rows[i], pm.cols[j]) for i, j in pm.var_occ(v)}
+    r, k = pm.r, pm.k
+    t, s, w = v.t, v.s, v.reduced
+    if not (
+        1 <= t <= k and 1 <= s <= pm.dims[t - 1] - r
+        and len(w) == k - 1 and all(1 <= x <= r for x in w)
+    ) or max(map(w.count, w)) > k - 2:
+        return set()
+    head, tail = w[: t - 1], w[t - 1 :]
+    return {((*head, m, *tail), (t, m, s)) for m in range(1, r + 1) if w.count(m) <= k - 3}
 
 
 # -- serialization ---------------------------------------------------------
 
 
-# Most nonzeros the text exports build in memory.  JSON takes about 1.1 KB
+# Most nonzeros the text exports build in memory.  JSON takes about 0.36 KB
 # per entry, so (100,100,100) at r=17, with 1,015,920 entries, still fits.
 _EXPORT_LIMIT = 1 << 20
 
@@ -222,16 +218,17 @@ def check_export_size(r: int, dims: tuple[int, ...]) -> None:
 def _entries(pm: PatternMatrix) -> Iterator[tuple[int, int, Variable]]:
     """(row index, column index, variable) of every nonzero, row-major."""
     check_export_size(pm.r, pm.dims)
-    rows, cols, _ = pm.entries()
-    return (
-        (i, j, pm.entry(pm.rows[i], pm.cols[j]))
-        for i, j in zip(rows.tolist(), cols.tolist())
-    )
+    rows, cols = (a.tolist() for a in pm.entries()[:2])
+    row_tuples, col_triples = pm.rows, pm.cols
+    for i, j in zip(rows, cols):
+        p, (t, _, s) = row_tuples[i], col_triples[j]
+        # Row p holds at column (t, p[t-1], s) the variable a^{t,s}_{p minus t}.
+        yield i, j, Variable(t=t, s=s, reduced=p[: t - 1] + p[t:])
 
 
-def pattern_to_json(pm: PatternMatrix) -> str:
-    """Lossless JSON form with stable key order."""
-    doc = {
+def pattern_doc(pm: PatternMatrix) -> dict:
+    """Lossless JSON document of `pm`, with stable key order."""
+    return {
         "r": pm.r,
         "dims": list(pm.dims),
         "rows": [list(p) for p in pm.rows],
@@ -240,7 +237,11 @@ def pattern_to_json(pm: PatternMatrix) -> str:
             {"row": i, "col": j, "var": v.label} for i, j, v in _entries(pm)
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=False)
+
+
+def pattern_to_json(pm: PatternMatrix) -> str:
+    """Lossless JSON form with stable key order."""
+    return json.dumps(pattern_doc(pm), indent=2)
 
 
 def pattern_from_json(text: str) -> PatternMatrix:

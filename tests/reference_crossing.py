@@ -1,29 +1,31 @@
 """Reference block crossing that tracks every crossed row and column index.
 
 This is the search as first written: each step sweeps the variable's
-occurrences through `PatternMatrix.var_occ` and keeps those whose row and
-column indexes are not yet crossed, checked against global sets.  The
-package's `cross_block` derives the same steps from the block alone; the
-tests hold the two to equal certificates.
+occurrences through the row and column indexes of `PatternIndex.var_occ`
+and keeps those whose indexes are not yet crossed, checked against global
+sets.  The package's `cross_block` derives the same steps from the block
+alone; the tests hold the two to equal certificates.
 """
 
 from subrank.certificate import Certificate, CrossingStuckError, Step
 from subrank.combinatorics import all_orbits, maximal_uncrossed_block
 from subrank.pattern import Variable
 
+from reference_index import PatternIndex
 
-def _cross_block(pm, crossed_rows, crossed_cols, crossed_orbits, block, slots):
-    t, r = block.direction, pm.r
-    cols = {pm.col_pos[(t, m, s)] for s in slots for m in range(1, r + 1)}
+
+def _cross_block(index, crossed_rows, crossed_cols, crossed_orbits, block, slots):
+    t, r = block.direction, index.pm.r
+    cols = {index.col_pos[(t, m, s)] for s in slots for m in range(1, r + 1)}
     assert not cols & crossed_cols
     block_rows = [p for o in block.orbits for p in o.members]
-    block_idx = {pm.row_pos[p] for p in block_rows}
+    block_idx = {index.row_pos[p] for p in block_rows}
     steps = []
     for s in slots:
         for rep in block.orbits[0].members:
             v = Variable(t=t, s=s, reduced=rep[: t - 1] + rep[t:])
             live = [
-                (i, j) for i, j in pm.var_occ(v)
+                (i, j) for i, j in index.var_occ(v)
                 if i not in crossed_rows and j not in crossed_cols
             ]
             if not live:
@@ -34,12 +36,12 @@ def _cross_block(pm, crossed_rows, crossed_cols, crossed_orbits, block, slots):
             crossed_cols.update(j for _, j in live)
             steps.append(Step(
                 variable=v,
-                rows=tuple(sorted(pm.rows[i] for i, _ in live)),
-                cols=tuple(sorted(pm.cols[j] for _, j in live)),
+                rows=tuple(sorted(index.rows[i] for i, _ in live)),
+                cols=tuple(sorted(index.cols[j] for _, j in live)),
             ))
-        if any(pm.cols[j][2] == s and j not in crossed_cols for j in cols):
+        if any(index.cols[j][2] == s and j not in crossed_cols for j in cols):
             raise CrossingStuckError(f"slot {s} of direction {t} left columns uncrossed")
-    if any(pm.row_pos[p] not in crossed_rows for p in block_rows):
+    if any(index.row_pos[p] not in crossed_rows for p in block_rows):
         raise CrossingStuckError("block rows left uncrossed")
     crossed_orbits.update(o.canonical for o in block.orbits)
     return steps
@@ -47,6 +49,7 @@ def _cross_block(pm, crossed_rows, crossed_cols, crossed_orbits, block, slots):
 
 def reference_certificate(pm):
     """The certificate `find_certificate` returns, by the global-index sweep."""
+    index = PatternIndex(pm)
     crossed_rows, crossed_cols, crossed_orbits = set(), set(), set()
     remaining = {t: list(range(1, pm.dims[t - 1] - pm.r + 1)) for t in range(1, pm.k + 1)}
     steps = []
@@ -60,6 +63,6 @@ def reference_certificate(pm):
         else:
             raise CrossingStuckError(f"no direction can absorb the blocks through {seed.canonical}")
         slots, remaining[t] = remaining[t][: block.size], remaining[t][block.size:]
-        steps += _cross_block(pm, crossed_rows, crossed_cols, crossed_orbits, block, slots)
+        steps += _cross_block(index, crossed_rows, crossed_cols, crossed_orbits, block, slots)
     monomial = tuple(sorted((st.variable, st.multiplicity) for st in steps))
     return Certificate(r=pm.r, dims=pm.dims, steps=tuple(steps), monomial=monomial)

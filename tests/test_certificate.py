@@ -1,4 +1,5 @@
 import hashlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,6 +8,7 @@ from subrank.certificate import (
     CrossState,
     Step,
     TooFewColumnsError,
+    Verdict,
     certificate_from_json,
     certificate_to_json,
     check_certificate_size,
@@ -23,6 +25,7 @@ from subrank.combinatorics import (
 )
 from subrank.pattern import Variable, build_pattern
 
+from reference_index import reference_validate
 from worked_example import WORKED_EXAMPLE_SCRIPT, worked_example_monomial
 
 
@@ -253,15 +256,47 @@ class TestValidate:
         assert verdict.first_failing_step == idx
         assert verdict.detail
 
+    def test_swapped_row_fails_at_that_step(self):
+        # Same multiplicity, one declared row replaced by a live row that the
+        # step's variable does not occupy.
+        pm, cert = self.make_valid()
+        idx = 0
+        st = cert.steps[idx]
+        other = next(p for s in cert.steps[idx + 1:] for p in s.rows)
+        tampered = Step(st.variable, (other,) + st.rows[1:], st.cols)
+        bad = Certificate(cert.r, cert.dims, (tampered,) + cert.steps[1:], cert.monomial)
+        verdict = validate(pm, bad)
+        assert verdict == Verdict(False, "declared rows of step 0 do not match", 0)
+        assert reference_validate(pm, bad) == verdict
+
     def test_unknown_variable_fails(self):
         pm, cert = self.make_valid()
         st = cert.steps[0]
-        for v in [Variable(1, 7, (2, 3)), Variable(0, 1, (2, 3))]:
+        for v in [
+            Variable(1, 7, (2, 3)),  # s beyond n_t - r
+            Variable(0, 1, (2, 3)),  # t = 0
+            Variable(4, 1, (2, 3)),  # t = k + 1
+            Variable(1, 0, (2, 3)),  # s = 0
+            Variable(1, 1, (2,)),  # reduced tuple too short
+            Variable(1, 1, (2, 3, 1)),  # reduced tuple too long
+            Variable(1, 1, (2, 5)),  # coordinate outside [r]
+            Variable(2, 1, (0, 3)),  # coordinate outside [r]
+            Variable(1, 1, (1, 1)),  # no m makes (m, 1, 1) admissible
+        ]:
             steps = (Step(v, st.rows, st.cols),) + cert.steps[1:]
-            verdict = validate(pm, Certificate(cert.r, cert.dims, steps, cert.monomial))
+            bad = Certificate(cert.r, cert.dims, steps, cert.monomial)
+            verdict = validate(pm, bad)
             assert not verdict.ok
             assert verdict.detail == f"unknown variable {v}"
             assert verdict.first_failing_step == 0
+            assert reference_validate(pm, bad) == verdict
+
+    def test_reads_only_the_parameters_and_row_count(self):
+        pm, cert = self.make_valid()
+        params = SimpleNamespace(r=pm.r, k=pm.k, dims=pm.dims, n_rows=pm.n_rows)
+        assert validate(params, cert) == validate(pm, cert)
+        for _, bad in single_mutations(cert):
+            assert validate(params, bad) == validate(pm, bad)
 
     def test_truncated_certificate_fails(self):
         pm, cert = self.make_valid()
@@ -282,6 +317,10 @@ class TestValidate:
         mutants = list(single_mutations(cert))
         assert len(mutants) == 4 * len(cert.steps) + len(cert.monomial)
         assert [name for name, bad in mutants if validate(pm, bad).ok] == []
+        # The replay through the row and column indexes, collision check
+        # included, gives the same verdict, message and failing step.
+        for name, bad in [("none", cert)] + mutants:
+            assert reference_validate(pm, bad) == validate(pm, bad), name
 
     def test_monomial_mismatch_fails(self):
         pm, cert = self.make_valid()

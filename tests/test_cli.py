@@ -9,7 +9,8 @@ import pytest
 
 from subrank import cli, modular
 from subrank.cli import main
-from subrank.pattern import pattern_from_json
+from subrank.certificate import certificate_to_json, find_certificate
+from subrank.pattern import build_pattern, pattern_from_json, pattern_to_json
 
 
 def run(capsys, *argv):
@@ -84,6 +85,16 @@ class TestCertificate:
         doc = json.loads(out_path.read_text())
         assert doc["r"] == 4
         assert sum(m["power"] for m in doc["monomial"]) == 24
+
+    def test_streamed_json_is_the_in_memory_text(self, capsys, tmp_path):
+        text = certificate_to_json(find_certificate(build_pattern(4, (6, 6, 6))))
+        path = tmp_path / "cert.json"
+        _, head, _ = run(capsys, "certificate", "--dims", "6,6,6", "--r", "4",
+                         "--out", str(path))
+        assert path.read_text() == text
+        code, out, _ = run(capsys, "certificate", "--dims", "6,6,6", "--r", "4")
+        assert code == 0
+        assert out == head.replace(f"wrote {path}\n", "") + text + "\n"
 
     def test_non_certificate_regime(self, capsys):
         code, _, err = run(capsys, "certificate", "--dims", "6,6,6", "--r", "5")
@@ -242,6 +253,10 @@ class TestExport:
         assert code == 0
         pm = pattern_from_json(path.read_text())
         assert pm.nnz == 144
+        text = pattern_to_json(pm)
+        assert path.read_text() == text
+        code, out, _ = run(capsys, "export", "--dims", "6,6,6", "--r", "4", "--format", "json")
+        assert (code, out) == (0, text + "\n")
 
     def test_coord_export_header_only(self, capsys):
         code, out, _ = run(capsys, "export", "--dims", "3,3,3", "--r", "2",

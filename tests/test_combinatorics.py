@@ -1,3 +1,4 @@
+from dataclasses import fields
 from itertools import permutations, product
 
 import pytest
@@ -26,25 +27,25 @@ def brute_force_rows(r, k):
 
 
 def reference_orbit_of(p, r):
-    """Orbit found by search: all r shifts, named by the smallest, listed
-    from it in shift order."""
+    """(canonical, members) of p's orbit found by search: all r shifts,
+    named by the smallest, listed from it in shift order."""
     members = [act(a, p, r) for a in range(r)]
     assert len(set(members)) == r
     canonical = min(members)
     start = members.index(canonical)
-    ordered = tuple(members[(start + a) % r] for a in range(r))
-    return Orbit(canonical=canonical, r=r, members=ordered)
+    return canonical, tuple(members[(start + a) % r] for a in range(r))
 
 
 def reference_all_orbits(r, k):
-    """Orbits in order of first appearance among the sorted rows."""
+    """(canonical, members) of each orbit, in order of first appearance
+    among the sorted rows."""
     seen = set()
     orbits = []
     for p in enumerate_rows(r, k):
         if p not in seen:
-            o = reference_orbit_of(p, r)
-            seen.update(o.members)
-            orbits.append(o)
+            canonical, members = reference_orbit_of(p, r)
+            seen.update(members)
+            orbits.append((canonical, members))
     return orbits
 
 
@@ -134,15 +135,15 @@ class TestOrbits:
     @pytest.mark.parametrize("r,k", FREE_GRID)
     def test_orbit_of_matches_reference_search(self, r, k):
         for p in enumerate_rows(r, k):
-            got, want = orbit_of(p, r), reference_orbit_of(p, r)
-            assert (got.canonical, got.members) == (want.canonical, want.members)
+            got = orbit_of(p, r)
+            assert (got.canonical, got.members) == reference_orbit_of(p, r)
             assert got.canonical[0] == 1
+            assert got.size == len(got.members) == r
 
     @pytest.mark.parametrize("r,k", FREE_GRID)
     def test_all_orbits_matches_reference_search(self, r, k):
         got = [(o.canonical, o.members) for o in all_orbits(r, k)]
-        want = [(o.canonical, o.members) for o in reference_all_orbits(r, k)]
-        assert got == want
+        assert got == reference_all_orbits(r, k)
 
     @pytest.mark.parametrize("r,k", [(4, 3), (5, 3), (6, 3), (2, 4), (3, 4)])
     def test_orbits_partition(self, r, k):
@@ -154,6 +155,10 @@ class TestOrbits:
     def test_rejects_inadmissible(self):
         with pytest.raises(ValueError):
             orbit_of((1, 1, 2), 3)
+
+    def test_orbit_is_its_name(self):
+        assert [f.name for f in fields(Orbit)] == ["canonical", "r"]
+        assert Orbit((1, 2, 4), 5) == orbit_of((3, 4, 1), 5)
 
 
 class TestBlocks:

@@ -18,6 +18,8 @@ from subrank.pattern import (
     pattern_to_json,
 )
 
+from reference_index import PatternIndex
+
 
 def reference_entries(r, dims):
     """Per-entry loop over the entry rule: (rows, cols, vars, variables).
@@ -72,6 +74,11 @@ class TestBuild:
         assert (pm.n_rows, pm.n_cols) == (0, 6)
         assert pm.nnz == 0
 
+    def test_stores_only_its_parameters(self):
+        pm = build_pattern(4, (6, 6, 6))
+        assert vars(pm) == {"r": 4, "dims": (6, 6, 6), "k": 3}
+        assert len(pm.rows) == pm.n_rows and len(pm.cols) == pm.n_cols
+
     def test_rejects_r_above_min_dim(self):
         with pytest.raises(ValueError):
             build_pattern(4, (6, 3, 6))
@@ -124,11 +131,15 @@ class TestBuild:
             assert array.dtype.kind == "i"
             assert array.tolist() == want
         assert pm.n_vars == len(variables)
+        index = PatternIndex(pm)
         occ = [[] for _ in variables]
         for i, j, vi in zip(rows, cols, vars_):
-            assert pm.entry(pm.rows[i], pm.cols[j]) == variables[vi]
+            assert pm.entry(index.rows[i], index.cols[j]) == variables[vi]
             occ[vi].append((i, j))
-        assert [pm.var_occ(v) for v in variables] == occ
+        assert [index.var_occ(v) for v in variables] == occ
+        assert [sorted(occurrences(pm, v)) for v in variables] == [
+            [(index.rows[i], index.cols[j]) for i, j in o] for o in occ
+        ]
 
 
 class TestDerivedCounts:
@@ -163,6 +174,21 @@ class TestEntries:
         assert pm.entry((2, 1, 3), (3, 3, 1)) == Variable(3, 1, (2, 1))
         assert pm.entry((1, 2, 3), (1, 2, 1)) is None
 
+    @pytest.mark.parametrize("p,c", [
+        ((1, 2, 3), (0, 1, 1)),  # t = 0
+        ((1, 2, 3), (4, 1, 1)),  # t = k + 1
+        ((1, 2, 3), (1, 5, 1)),  # m outside [r]
+        ((1, 2, 3), (1, 1, 3)),  # s beyond n_t - r
+        ((1, 2), (1, 1, 1)),  # row too short
+        ((1, 2, 3, 4), (1, 1, 1)),  # row too long
+        ((1, 2, 5), (1, 1, 1)),  # coordinate outside [r]
+        ((1, 1, 2), (1, 1, 1)),  # row not admissible
+    ])
+    def test_position_outside_the_matrix_raises(self, p, c):
+        pm = build_pattern(4, (6, 6, 6))
+        with pytest.raises(KeyError, match="outside the matrix"):
+            pm.entry(p, c)
+
     def test_variable_at_most_once_per_row_and_column(self):
         for r, dims in [(4, (6, 6, 6)), (3, (5, 4, 4)), (2, (4, 3, 3, 3))]:
             pm = build_pattern(r, dims)
@@ -187,8 +213,9 @@ class TestEntries:
     def test_one_nonzero_per_row_and_slot_pair(self):
         pm = build_pattern(3, (5, 4, 4))
         per_row = {}
+        cols = pm.cols
         for i, j, _ in zip(*pm.entries()):
-            t, _, s = pm.cols[j]
+            t, _, s = cols[j]
             key = (i, t, s)
             assert key not in per_row
             per_row[key] = j
