@@ -9,8 +9,9 @@ rank); trials below it are inconclusive and only reported.
 The default prime is the Mersenne prime 2^61 - 1: residues fit in machine
 words, and the per-trial false-negative probability is bounded by
 (#rows)/p, which is negligible at desk scale.  Every rank mod 2^61 - 1 runs
-through one blocked elimination kernel: one recursion factors the whole
-matrix, after Dumas, Giorgi & Pernet (ACM TOMS 35(3), 2008).  A column
+through one blocked elimination kernel: one recursion factors the matrix,
+or a wide matrix's leading square, after Dumas, Giorgi & Pernet (ACM TOMS
+35(3), 2008).  A column
 range that is wide and tall enough splits at its midpoint, or 128 columns
 in if that is sooner; the left part's pivots reach the right part through
 a matrix-product update, and each part returns the inverse L'^-1 of its
@@ -21,11 +22,16 @@ products are taken as three float64 BLAS calls on 21-bit limbs.  Each
 update reduces once, as in the same paper's delayed reduction: its product
 is left unreduced below 4p, and a - product is taken as a + (4p - product)
 < 5p < 2^64 and folded once, in place in the product's own temporary.  The
-update runs in column strips of fixed width, and the elimination
-overwrites its operand, so a trial that ranks the matrix it instantiated
-peaks at about that matrix and a few strip-sized temporaries.  The update
-skips rows whose multipliers are all zero, which most rows of
-block-diagonal and unit-vector inputs are.  Other primes use the plain
+update runs in column strips of fixed width and, on a matrix of more than
+512 rows, takes the rows it changes 256 at a time, so its temporaries stay
+a few MiB however tall the matrix is.  The elimination overwrites its
+operand, so a trial that ranks the matrix it instantiated peaks at about
+that matrix and that workspace.  The update skips rows whose multipliers
+are all zero, which most rows of block-diagonal and unit-vector inputs
+are.  The columns past a wide matrix's leading square are touched only if
+the square falls short of full row rank; then the square's pivots, kept as
+their columns and, on the diagonal, their inverses, are applied to them in
+order, and the rows left are ranked there.  Other primes use the plain
 Python elimination that tests also use as the reference.
 """
 
@@ -96,9 +102,9 @@ def random_assignment(pm: PatternMatrix, seed: int, p: int = DEFAULT_PRIME) -> R
 # -- matrices ----------------------------------------------------------------
 
 # Largest dense uint64 matrix `instantiate` allocates, in bytes.  A rank
-# trial eliminates the matrix in place, so a large one peaks at well under
-# twice the matrix: `verify` at n=100 peaks at 216 MB RSS for a 138 MB
-# matrix.
+# trial eliminates the matrix in place with a workspace of a few MiB, so a
+# large one peaks at little over the matrix: `verify` at n=100 peaks at
+# 173 MB RSS for a 138 MB matrix, and at n=150 at 557 MB for 519 MB.
 _DENSE_LIMIT = 1 << 30
 
 
@@ -136,8 +142,11 @@ def instantiate(pm: PatternMatrix, assignment: RandomAssignment) -> ModularMatri
         )
     check_dense_size(pm.r, pm.dims)
     data = np.zeros((pm.n_rows, pm.n_cols), dtype=np.uint64)
-    rows, cols, var = pm.entries()
-    data[rows, cols] = (values % np.uint64(p))[var]
+    values = values % np.uint64(p)
+    # One direction's block at a time, so no index array spans all nonzeros.
+    rows = np.arange(pm.n_rows)[:, None]
+    for cols, var in pm.direction_blocks():
+        data[rows, cols] = values[var]
     return ModularMatrix(pm.n_rows, pm.n_cols, p, data)
 
 
@@ -166,6 +175,13 @@ _P4 = np.uint64(4 * _M61)
 # Columns per trailing-update strip of the rank kernel; its temporaries are
 # a few (rows x _STRIP) arrays.
 _STRIP = 512
+
+# Rows per tile of `_update` on a matrix of more than 2 * _TILE_ROWS rows:
+# it takes the rows it changes this many at a time, so each of its
+# (rows x _STRIP) temporaries stays at 1 MiB however tall the matrix is.  A
+# matrix of at most 512 rows keeps them in one block; there tiling costs
+# time and saves little.
+_TILE_ROWS = 256
 
 # `_factor` splits a column range wider than _BASE_WIDTH columns with more
 # than _BASE_CELLS entries from its first row down, at its midpoint or
@@ -245,9 +261,23 @@ def _limbs(x: np.ndarray) -> np.ndarray:
     return xs
 
 
+def _spread(y: np.ndarray) -> np.ndarray:
+    """The right operand of `_matmul61` as stacked float64 limb rows
+    [4y1; 4y2; y0; y1; y2], y = y0 + y1 2^21 + y2 2^42."""
+    k = y.shape[0]
+    m21 = np.uint64(_M21)
+    ys = np.empty((5 * k, y.shape[1]))
+    ys[2 * k:3 * k] = y & m21
+    ys[3 * k:4 * k] = (y >> np.uint64(21)) & m21
+    ys[4 * k:] = y >> np.uint64(42)
+    np.multiply(ys[3 * k:], 4.0, out=ys[:2 * k])
+    return ys
+
+
 def _matmul61(xs: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x @ y for xs = _limbs(x) and y < p, unreduced: congruent to it mod
-    2^61 - 1 and below 2^62.1 < 4p; three float64 matmuls.
+    2^61 - 1 and below 2^62.1 < 4p; three float64 matmuls.  A caller that
+    multiplies several xs by one y may pass y as _spread(y).
 
     With y split like x, and since 2^63 == 4 and 2^84 == 4 * 2^21 (mod p),
     the five limb-product levels fold into three, and x @ y == d0 + d1 2^21
@@ -261,13 +291,8 @@ def _matmul61(xs: np.ndarray, y: np.ndarray) -> np.ndarray:
     float64 matmul of xs with three consecutive limb rows of Y.  Every term
     is below 2^42 (x2, y2 < 2^19), so an inner dimension of at most 512
     keeps each sum exact (3 * 512 * 2^42 < 2^53)."""
-    k = y.shape[0]
-    m21 = np.uint64(_M21)
-    ys = np.empty((5 * k, y.shape[1]))
-    ys[2 * k:3 * k] = y & m21
-    ys[3 * k:4 * k] = (y >> np.uint64(21)) & m21
-    ys[4 * k:] = y >> np.uint64(42)
-    np.multiply(ys[3 * k:], 4.0, out=ys[:2 * k])
+    ys = y if y.dtype == np.float64 else _spread(y)
+    k = ys.shape[0] // 5
     d = xs @ ys[:3 * k]                                  # d0 < 2^52
     acc = d.astype(np.uint64)
     t = np.empty_like(acc)
@@ -368,36 +393,76 @@ def _update(
     When those rows are one contiguous run they are a slice, so each strip
     reads a view of them instead of a gathered copy.  F and L'^-1 are split
     into limbs once; each strip subtracts its unreduced product (< 2^62.1)
-    with one fold."""
+    with one fold.  On a matrix of more than 2 * _TILE_ROWS rows it runs as
+    `_update_tiled` instead."""
+    if len(a) > 2 * _TILE_ROWS:
+        _update_tiled(a, r0, piv_cols, linv, c0, c1)
+        return
     r1 = r0 + len(piv_cols)
     below = a[r1:]
     f = below[:, piv_cols]
     rows = np.flatnonzero(f.any(axis=1))
     if rows.size == 0:
         return
-    if rows[-1] - rows[0] + 1 == rows.size:
-        rows = slice(int(rows[0]), int(rows[-1]) + 1)
+    rows = _run(rows)
     fs, ls = _limbs(f[rows]), _limbs(linv)
+    del f
     for s0 in range(c0, c1, _STRIP):
         s = slice(s0, min(s0 + _STRIP, c1))
         u = _fold61(_matmul61(ls, a[r0:r1, s]))
         below[rows, s] = _sub61(below[rows, s], _matmul61(fs, u))
 
 
+def _update_tiled(
+    a: np.ndarray, r0: int, piv_cols: list[int], linv: np.ndarray, c0: int, c1: int
+) -> None:
+    """`_update` with the changed rows taken _TILE_ROWS at a time in each
+    strip: the strip's L'^-1 A12 is formed and split into limbs once, and
+    each tile gathers its own rows of F."""
+    r1 = r0 + len(piv_cols)
+    below = a[r1:]
+    changed = np.empty(len(below), dtype=bool)
+    for i in range(0, len(below), _TILE_ROWS):
+        changed[i:i + _TILE_ROWS] = below[i:i + _TILE_ROWS, piv_cols].any(axis=1)
+    rows = np.flatnonzero(changed)
+    if rows.size == 0:
+        return
+    tiles = [rows[i:i + _TILE_ROWS] for i in range(0, rows.size, _TILE_ROWS)]
+    ls = _limbs(linv)
+    for s0 in range(c0, c1, _STRIP):
+        s = slice(s0, min(s0 + _STRIP, c1))
+        us = _spread(_fold61(_matmul61(ls, a[r0:r1, s])))
+        for t in tiles:
+            acc = _matmul61(_limbs(below[np.ix_(t, piv_cols)]), us)
+            t = _run(t)
+            below[t, s] = _sub61(below[t, s], acc)
+        del us, acc     # before the next strip's product is formed
+
+
+def _run(rows: np.ndarray) -> np.ndarray | slice:
+    """Sorted row indices as a slice when they are one contiguous run."""
+    if rows[-1] - rows[0] + 1 == rows.size:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
 def _factor(a: np.ndarray, r0: int, c0: int, c1: int) -> tuple[list[int], np.ndarray | None]:
     """Eliminate columns c0:c1 of `a` from row r0 down, in place; return the
-    pivot columns and L'^-1 for `_update`, or None when no column lies
-    right of c1 or no row is left below the pivots, so nothing would use it.
+    pivot columns and L'^-1 for `_update`, or None when no column of the
+    leading square lies right of c1 or no row is left below the pivots, so
+    nothing here would use it.  Columns past the leading square of a wide
+    matrix are the caller's (`_rank61`); c1 must not pass that square.
 
     Rows are swapped whole, but only columns c0:c1 change; each multiplier
-    stays in its pivot column for `_update` to read.  A large range splits
+    stays in its pivot column for `_update` to read, and each pivot's own
+    entry is overwritten with its inverse.  A large range splits
     at its midpoint, or _PANEL columns in if that is sooner: factor the left
     part, apply its pivots to the right part, then factor the right part
     from the next free row.  L'^-1 of the whole is the block triangle
     [[L1^-1, 0], [-L2^-1 C L1^-1, L2^-1]] of the parts' inverses, with C the
     right pivot rows' multipliers in the left pivot columns.  Small ranges
     are eliminated one column at a time."""
-    m, n = a.shape
+    m, n = a.shape[0], min(a.shape)
     if c1 - c0 > _BASE_WIDTH and (m - r0) * (c1 - c0) > _BASE_CELLS:
         mid = min((c0 + c1) // 2, c0 + _PANEL)
         left, inv1 = _factor(a, r0, c0, mid)
@@ -426,7 +491,8 @@ def _factor(a: np.ndarray, r0: int, c0: int, c1: int) -> tuple[list[int], np.nda
         piv_cols.append(c)
         # Scale the pivot row in Python ints: it is short, and no numpy
         # scalar meets the folds' wraparound, which warns on scalars.
-        a[rank, c:c1] = [inv * v % _M61 for v in a[rank, c:c1].tolist()]
+        a[rank, c] = inv
+        a[rank, c + 1:c1] = [inv * v % _M61 for v in a[rank, c + 1:c1].tolist()]
         if c + 1 < c1 and rank + 1 < m:
             col = a[rank + 1:, c]
             nz = np.nonzero(col)[0]
@@ -458,9 +524,29 @@ def rank_mod_p(mm: ModularMatrix, overwrite: bool = False) -> int:
     if mm.n_rows == 0 or mm.n_cols == 0:
         return 0
     if mm.p == MERSENNE61:
-        a = mm.data if overwrite else mm.data.copy()
-        return len(_factor(a, 0, 0, mm.n_cols)[0])
+        return _rank61(mm.data if overwrite else mm.data.copy())
     return _rank_python(mm.data.tolist(), mm.p)
+
+
+def _rank61(a: np.ndarray) -> int:
+    """Rank mod 2^61 - 1 of `a`, which it eliminates in place.
+
+    A wide matrix is first factored on its leading square alone: when that
+    reaches full row rank, the columns past it are never touched.  Only
+    when it falls short are its pivots applied to them, in order and
+    _PANEL at a time, each group's L'^-1 rebuilt from its multipliers and
+    the pivot inverses on its diagonal; the rows left below the pivots are
+    then ranked on those columns."""
+    m, n = a.shape
+    piv_cols = _factor(a, 0, 0, min(m, n))[0]
+    rank = len(piv_cols)
+    if rank == m or n <= m:
+        return rank
+    for i0 in range(0, rank, _PANEL):
+        cols = piv_cols[i0:i0 + _PANEL]
+        lower = a[i0:i0 + len(cols), cols]
+        _update(a, i0, cols, _lower_inverse(lower, np.diagonal(lower)), m, n)
+    return rank + _rank61(a[rank:, m:])
 
 
 # -- verification operations ---------------------------------------------------

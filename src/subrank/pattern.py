@@ -55,7 +55,8 @@ class PatternMatrix:
     All else is derived on each access, with no cache: `rows` and `cols`
     list the row tuples and column triples in lexicographic order, the
     counts are closed forms, and `entries()` computes the nonzeros from the
-    entry rule as three integer arrays sorted by row, then column.
+    entry rule as three integer arrays sorted by row, then column, or
+    `direction_blocks()` as one block of them per direction.
     Variables are numbered in lexicographic (t, s, reduced) order.
     """
 
@@ -111,14 +112,25 @@ class PatternMatrix:
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(row, column, variable number) index arrays of every nonzero,
         sorted by row, then column; computed from the entry rule on each call."""
+        # Placing the direction blocks side by side in t order keeps the
+        # entries sorted by row, then column.
+        col_blocks, var_blocks = zip(*self.direction_blocks())
+        return (
+            np.repeat(np.arange(self.n_rows), sum(self.dims) - self.k * self.r),
+            np.hstack(col_blocks).ravel(),
+            np.hstack(var_blocks).ravel(),
+        )
+
+    def direction_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """For each direction t = 1..k in turn, the (n_rows, n_t - r) arrays
+        of column and variable numbers of its nonzeros: row i holds variable
+        var[i, s-1] at column col[i, s-1].  This is the entry rule that
+        `entries()` and `instantiate` share."""
         r, dims, k = self.r, self.dims, self.k
         # One nonzero per row and (t, s) pair, at column (t, j_t, s), holding
-        # a^{t,s}_w with w the row minus coordinate t.  Per direction t the
-        # entries form an (n_rows, n_t - r) block; placing the blocks side by
-        # side in t order keeps the entries sorted by row, then column.
+        # a^{t,s}_w with w the row minus coordinate t.
         rows = np.array(self.rows, dtype=np.intp).reshape(-1, k)
         place = r ** np.arange(k - 2, -1, -1)
-        col_blocks, var_blocks = [], []
         n_vars = col0 = 0
         for t in range(1, k + 1):
             slots = dims[t - 1] - r
@@ -129,15 +141,12 @@ class PatternMatrix:
                 (np.delete(rows, t - 1, axis=1) - 1) @ place, return_inverse=True
             )
             s = np.arange(slots)  # s - 1 for the slots s = 1..n_t - r
-            col_blocks.append(col0 + (rows[:, [t - 1]] - 1) * slots + s)
-            var_blocks.append(n_vars + s * len(codes) + w_num.reshape(-1, 1))
+            yield (
+                col0 + (rows[:, [t - 1]] - 1) * slots + s,
+                n_vars + s * len(codes) + w_num.reshape(-1, 1),
+            )
             n_vars += slots * len(codes)
             col0 += r * slots
-        return (
-            np.repeat(np.arange(len(rows)), sum(dims) - k * r),
-            np.hstack(col_blocks).ravel(),
-            np.hstack(var_blocks).ravel(),
-        )
 
     def entry(self, p: tuple[int, ...], c: tuple[int, int, int]) -> Variable | None:
         """Variable at row p, column c = (t, m, s); None where the matrix is zero."""

@@ -243,6 +243,22 @@ class TestInstantiate:
         m1 = instantiate(pm, random_assignment(pm, 1))
         assert not np.array_equal(m0.data, m1.data)
 
+    @pytest.mark.parametrize("dims, r", [
+        ((6, 7, 8), 4), ((9, 9, 9), 5), ((5, 5, 6, 7), 3), ((4, 5, 4, 6), 4),
+        ((4, 4, 4, 5, 6), 3),
+    ])
+    def test_direction_scatter_matches_entries(self, dims, r):
+        # `instantiate` scatters one direction's block at a time; the matrix
+        # must equal one scatter of every entry `entries()` lists.
+        pm = build_pattern(r, dims)
+        assignment = random_assignment(pm, 3)
+        rows, cols, var = pm.entries()
+        want = np.zeros((pm.n_rows, pm.n_cols), dtype=np.uint64)
+        want[rows, cols] = assignment.values[var]
+        got = instantiate(pm, assignment).data
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+        assert np.count_nonzero(got) == pm.nnz
+
     def test_coordinate_export(self):
         pm = build_pattern(3, (4, 4, 4))
         mm = instantiate(pm, random_assignment(pm, 0))
@@ -338,6 +354,70 @@ class TestRank:
         monkeypatch.setattr(modular, "_SQUARING_ROWS", 1)        # halve down to 1 x 1
         assert (_lower_inverse(lower, invs) == want).all()
 
+    def test_wide_rank_deficient_square_matches_reference(self, monkeypatch):
+        # A wide matrix is factored on its leading square first; when that
+        # falls short of full row rank, its pivots are applied to the later
+        # columns and the rows left are ranked there.  Its transpose is tall,
+        # so it takes the one-pass path and is an independent second kernel.
+        p = MERSENNE61
+        rng = np.random.default_rng(31)
+
+        def dense(m, n):
+            return rng.integers(0, p, size=(m, n), dtype=np.uint64)
+
+        outcomes = []
+        for case in range(300):
+            m = int(rng.integers(2, 21))
+            n = int(rng.integers(m + 1, 3 * m + 2))
+            a = dense(m, n)
+            kind = case % 3
+            if kind == 0:           # the square is a low-rank product
+                k = int(rng.integers(0, m))
+                a[:, :m] = _matmul_mod_m61(dense(m, k), dense(k, m)) if k else 0
+            elif kind == 1:         # zeroed column runs in the square
+                for _ in range(int(rng.integers(1, 4))):
+                    lo = int(rng.integers(0, m))
+                    a[:, lo:lo + int(rng.integers(1, m + 1))] = 0
+            else:                   # low rank overall, so the later columns fall short too
+                k = int(rng.integers(0, m))
+                a = _matmul_mod_m61(dense(m, k), dense(k, n)) if k else a * 0
+            want = _rank_python(a.tolist(), p)
+            assert _rank_python(a[:, :m].tolist(), p) < m
+            outcomes.append(want == m)
+            with monkeypatch.context() as mp:
+                split_at_most(mp, int(rng.integers(2, 9)))
+                assert blocked_rank(a) == blocked_rank(a.copy(), overwrite=True) == want
+                assert blocked_rank(np.ascontiguousarray(a.T)) == want
+        # The later columns make up the rank in some cases and not in others.
+        assert 50 < sum(outcomes) < 250
+
+    def test_saturated_wide_trial_never_touches_columns_past_square(self, monkeypatch):
+        # At (64,64,64) r=13 the rank reaches the 1716 rows within the first
+        # 1716 of 1989 columns, so no factor range or update reaches past them.
+        reached = []
+        factor, update = modular._factor, modular._update
+
+        def spy_factor(a, r0, c0, c1):
+            reached.append(c1)
+            return factor(a, r0, c0, c1)
+
+        def spy_update(a, r0, piv_cols, linv, c0, c1):
+            reached.append(c1)
+            return update(a, r0, piv_cols, linv, c0, c1)
+
+        monkeypatch.setattr(modular, "_factor", spy_factor)
+        monkeypatch.setattr(modular, "_update", spy_update)
+        pm = build_pattern(13, (64, 64, 64))
+        mm = instantiate(pm, random_assignment(pm, 0))
+        right = mm.data[:, pm.n_rows:].copy()
+        assert (pm.n_rows, pm.n_cols) == (1716, 1989)
+        assert rank_mod_p(mm, overwrite=True) == pm.n_rows
+        assert reached and max(reached) == pm.n_rows
+        # Rows are swapped whole, so the later columns hold a permutation of
+        # their rows, and nothing else.
+        assert sorted(map(tuple, mm.data[:, pm.n_rows:].tolist())) == sorted(
+            map(tuple, right.tolist()))
+
     def test_panel_splits_at_midpoint_by_shape_rule(self, monkeypatch):
         # A range splits while it is wider than 16 columns and has more than
         # 2^14 entries from its first row down, at its midpoint or 128
@@ -419,8 +499,9 @@ class TestRank:
         assert ranks[:3] == [450, 400, 400]
 
     def test_factor_returns_inverse_exactly_when_used(self, monkeypatch):
-        # `_factor` returns L'^-1 unless no column lies right of its range or
-        # its pivots use up the rows.  L'^-1 has diagonal 1 / pivot, so it
+        # `_factor` returns L'^-1 unless no column of the leading square lies
+        # right of its range or its pivots use up the rows.  L'^-1 has
+        # diagonal 1 / pivot, so it
         # must equal the row-by-row inverse of its own diagonal's inverses
         # and the multipliers left below the pivots.
         p = MERSENNE61
@@ -435,7 +516,7 @@ class TestRank:
             piv_cols, linv = factor(a, r0, c0, c1)
             depth[0] -= 1
             g = len(piv_cols)
-            if c1 == a.shape[1] or r0 + g == a.shape[0]:
+            if c1 == min(a.shape) or r0 + g == a.shape[0]:
                 assert linv is None
                 seen["none"] += 1
                 return piv_cols, linv
@@ -555,6 +636,29 @@ class TestFusedArithmetic:
         assert a[g:, g:].tolist() == want
         assert (a[:g] == P - 1).all() and (a[g:, :g] == P - 1).all()
 
+    def test_tiled_update_is_byte_identical(self, monkeypatch):
+        # `_update` on a matrix of more than 2 * _TILE_ROWS rows takes the
+        # rows it changes in tiles.  Here they skip every third row of the
+        # first half and run unbroken in the second, so tiles are gathered
+        # and sliced; every tiling leaves the same array as one block.
+        rng = np.random.default_rng(17)
+        g, m, n = 40, 600, 1300
+        a = rng.integers(0, P, size=(m, n), dtype=np.uint64)
+        a[g:300:3, :g] = 0
+        linv = np.tril(rng.integers(0, P, size=(g, g), dtype=np.uint64))
+        results = []
+        for tile in (1000, 256, 33, 1):         # one block, then tiles
+            monkeypatch.setattr(modular, "_TILE_ROWS", tile)
+            b = a.copy()
+            _update(b, 0, list(range(g)), linv, g + 5, n - 7)
+            results.append(b)
+        assert not np.array_equal(results[0], a)
+        for b in results[1:]:
+            assert np.array_equal(b, results[0])
+        unchanged = results[0] == a
+        assert unchanged[:, :g + 5].all() and unchanged[:, n - 7:].all()
+        assert unchanged[g:300:3].all() and not unchanged[g + 1, g + 5:n - 7].any()
+
     def test_products_leave_operands_unchanged(self):
         rng = np.random.default_rng(11)
         x = rng.integers(0, P, size=(40, 128), dtype=np.uint64)
@@ -628,6 +732,23 @@ class TestVerifyGenericRank:
             tracemalloc.stop()
         assert verdict.ok
         assert peak < 3.5 * dense
+
+
+    def test_tall_trial_workspace_is_bounded(self):
+        # Above 512 rows the update works in 256-row tiles, so one trial at
+        # (64,64,64) r=13 holds its 26 MiB matrix and a workspace of a few
+        # MiB: one strip of L'^-1 A12 in limbs (2.5 MiB) and a tile's
+        # temporaries (1 MiB each).  Whole-height strips held 18 MiB more.
+        pm = build_pattern(13, (64, 64, 64))
+        dense = pm.n_rows * pm.n_cols * 8
+        tracemalloc.start()
+        try:
+            verdict = verify_generic_rank(pm, pm.n_rows, trials=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.ok
+        assert peak < dense + 10 * 2**20
 
 
 class TestPinnedTrials:
