@@ -155,6 +155,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     _check_prime(args.prime)
     if args.max < 1:
         raise ValueError(f"--max must be at least 1, got {args.max}")
+    if args.verify:
+        # Refuse a too-large row before ranking any, so no verified row is lost.
+        for n in range(1, args.max + 1):
+            check_dense_size(generic_subrank((n, n, n)).q, (n, n, n))
     header = "n,q,rows,cols"
     if args.verify:
         header += ",certificate_ok,rank_ok"

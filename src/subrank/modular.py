@@ -22,11 +22,11 @@ products are taken as three float64 BLAS calls on 21-bit limbs.  Each
 update reduces once, as in the same paper's delayed reduction: its product
 is left unreduced below 4p, and a - product is taken as a + (4p - product)
 < 5p < 2^64 and folded once, in place in the product's own temporary.  The
-update runs in column strips of fixed width and, on a matrix of more than
-512 rows, takes the rows it changes 256 at a time, so its temporaries stay
-a few MiB however tall the matrix is.  The elimination overwrites its
-operand, so a trial that ranks the matrix it instantiated peaks at about
-that matrix and that workspace.  The update skips rows whose multipliers
+update runs in column strips of fixed width and, at every height, takes
+the rows below its pivots 256 at a time, so its temporaries stay a few MiB
+however tall the matrix is.  The elimination overwrites its operand, so a
+trial that ranks the matrix it instantiated peaks at about that matrix and
+that workspace.  The update skips rows whose multipliers
 are all zero, which most rows of block-diagonal and unit-vector inputs
 are.  The columns past a wide matrix's leading square are touched only if
 the square falls short of full row rank; then the square's pivots, kept as
@@ -176,11 +176,9 @@ _P4 = np.uint64(4 * _M61)
 # a few (rows x _STRIP) arrays.
 _STRIP = 512
 
-# Rows per tile of `_update` on a matrix of more than 2 * _TILE_ROWS rows:
-# it takes the rows it changes this many at a time, so each of its
-# (rows x _STRIP) temporaries stays at 1 MiB however tall the matrix is.  A
-# matrix of at most 512 rows keeps them in one block; there tiling costs
-# time and saves little.
+# Rows per tile of `_update`: at every height it takes the rows below its
+# pivots this many at a time, so each of its (rows x _STRIP) temporaries
+# stays at 1 MiB however tall the matrix is.
 _TILE_ROWS = 256
 
 # `_factor` splits a column range wider than _BASE_WIDTH columns with more
@@ -316,14 +314,13 @@ def _matmul_mod_m61(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # -- rank kernels ----------------------------------------------------------------
 
 
-def _rank_python(rows: list[list[int]], p: int, reverse_cols: bool = False) -> int:
+def _rank_python(rows: list[list[int]], p: int) -> int:
     """Reference dense elimination over F_p; works for any prime p."""
     rows = [list(r) for r in rows]
     m = len(rows)
     n = len(rows[0]) if m else 0
-    cols = range(n - 1, -1, -1) if reverse_cols else range(n)
     rank = 0
-    for c in cols:
+    for c in range(n):
         piv = next((i for i in range(rank, m) if rows[i][c] % p), None)
         if piv is None:
             continue
@@ -387,56 +384,31 @@ def _update(
 
     That is A22 -= F (L'^-1 A12): A12 is the pivot rows' part of the columns,
     L' has the pivot values on its diagonal and the in-place multipliers
-    below it, and F is the multiplier block of the rows below.  Only rows
-    with a nonzero row of F change, which skips most rows of block-diagonal
-    and unit-vector inputs; strips of _STRIP columns bound the temporaries.
-    When those rows are one contiguous run they are a slice, so each strip
-    reads a view of them instead of a gathered copy.  F and L'^-1 are split
-    into limbs once; each strip subtracts its unreduced product (< 2^62.1)
-    with one fold.  On a matrix of more than 2 * _TILE_ROWS rows it runs as
-    `_update_tiled` instead."""
-    if len(a) > 2 * _TILE_ROWS:
-        _update_tiled(a, r0, piv_cols, linv, c0, c1)
-        return
+    below it, and F is the multiplier block of the rows below.  Each strip
+    of _STRIP columns walks the rows below in tiles of _TILE_ROWS, at every
+    height, so its temporaries stay a few (_TILE_ROWS x _STRIP) arrays.  Only
+    rows with a nonzero row of F change, which skips most rows of
+    block-diagonal and unit-vector inputs, and a tile whose rows of F are all
+    zero costs one gather; when a tile's changed rows are one contiguous run
+    they are a slice, read as a view instead of a gathered copy.  The strip's
+    L'^-1 A12 is formed and split into limbs once, when a tile first needs
+    it, and each tile subtracts its unreduced product (< 2^62.1) with one
+    fold."""
     r1 = r0 + len(piv_cols)
     below = a[r1:]
-    f = below[:, piv_cols]
-    rows = np.flatnonzero(f.any(axis=1))
-    if rows.size == 0:
-        return
-    rows = _run(rows)
-    fs, ls = _limbs(f[rows]), _limbs(linv)
-    del f
     for s0 in range(c0, c1, _STRIP):
         s = slice(s0, min(s0 + _STRIP, c1))
-        u = _fold61(_matmul61(ls, a[r0:r1, s]))
-        below[rows, s] = _sub61(below[rows, s], _matmul61(fs, u))
-
-
-def _update_tiled(
-    a: np.ndarray, r0: int, piv_cols: list[int], linv: np.ndarray, c0: int, c1: int
-) -> None:
-    """`_update` with the changed rows taken _TILE_ROWS at a time in each
-    strip: the strip's L'^-1 A12 is formed and split into limbs once, and
-    each tile gathers its own rows of F."""
-    r1 = r0 + len(piv_cols)
-    below = a[r1:]
-    changed = np.empty(len(below), dtype=bool)
-    for i in range(0, len(below), _TILE_ROWS):
-        changed[i:i + _TILE_ROWS] = below[i:i + _TILE_ROWS, piv_cols].any(axis=1)
-    rows = np.flatnonzero(changed)
-    if rows.size == 0:
-        return
-    tiles = [rows[i:i + _TILE_ROWS] for i in range(0, rows.size, _TILE_ROWS)]
-    ls = _limbs(linv)
-    for s0 in range(c0, c1, _STRIP):
-        s = slice(s0, min(s0 + _STRIP, c1))
-        us = _spread(_fold61(_matmul61(ls, a[r0:r1, s])))
-        for t in tiles:
-            acc = _matmul61(_limbs(below[np.ix_(t, piv_cols)]), us)
-            t = _run(t)
-            below[t, s] = _sub61(below[t, s], acc)
-        del us, acc     # before the next strip's product is formed
+        us = None
+        for i in range(0, len(below), _TILE_ROWS):
+            tile = below[i:i + _TILE_ROWS]
+            f = tile[:, piv_cols]
+            rows = np.flatnonzero(f.any(axis=1))
+            if rows.size == 0:
+                continue
+            if us is None:
+                us = _spread(_fold61(_matmul61(_limbs(linv), a[r0:r1, s])))
+            rows = _run(rows)
+            tile[rows, s] = _sub61(tile[rows, s], _matmul61(_limbs(f[rows]), us))
 
 
 def _run(rows: np.ndarray) -> np.ndarray | slice:

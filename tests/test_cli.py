@@ -236,6 +236,21 @@ class TestTable:
         assert len(lines) == 101
         assert lines[100] == "100,17,4080,4233"
 
+    def test_verified_table_refused_by_size_before_any_row(self, capsys, monkeypatch):
+        # n = 193 is the first row whose dense matrix is over the limit; the
+        # 192 rows before it would take minutes to rank, and none is printed.
+        with monkeypatch.context() as mp:
+            forbid_pattern_build(mp)
+            start = time.time()
+            code, out, err = run(capsys, "table", "--max", "193", "--verify")
+            assert time.time() - start < 5.0
+        assert (code, out) == (2, "")
+        assert err == ("error: dense 12144 x 12168 matrix needs 1127 MiB, "
+                       "over the 1024 MiB limit\n")
+        code, out, _ = run(capsys, "table", "--max", "193")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 194
+
     def test_verified_table_to_40_within_budget(self, cached_cli_run):
         code, out, elapsed = cached_cli_run("table", "--max", "40", "--verify")
         assert code == 0

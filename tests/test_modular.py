@@ -98,6 +98,22 @@ def split_at_most(monkeypatch, width):
     monkeypatch.setattr(modular, "_BASE_CELLS", 0)
 
 
+def reference_update(a: np.ndarray, g: int, linv: np.ndarray, cols: list[int]) -> list[list[int]]:
+    """The rows of `a` below its g pivot rows on columns `cols` after the
+    update A22 - F (L'^-1 A12) mod 2^61-1, with F = a[g:, :g] and
+    A12 = a[:g, cols], evaluated in Python ints."""
+    p = MERSENNE61
+    rows, li = a.tolist(), linv.tolist()
+    u = [[sum(li[i][l] * rows[l][c] for l in range(g)) % p for c in cols] for i in range(g)]
+    return [[(row[c] - sum(row[i] * u[i][j] for i in range(g))) % p
+             for j, c in enumerate(cols)] for row in rows[g:]]
+
+
+def strip_edges(c0: int, c1: int) -> list[int]:
+    """The first and last column of each of `_update`'s strips of c0:c1."""
+    return sorted({c for s0 in range(c0, c1, _STRIP) for c in (s0, min(s0 + _STRIP, c1) - 1)})
+
+
 def random_entry(rng: random.Random) -> int:
     p = MERSENNE61
     return rng.choice((1, p - 1, p - 1, rng.randrange(1, p)))
@@ -292,7 +308,7 @@ class TestRank:
             for _ in range(rng.randrange(0, 3 * max(m, n))):
                 rows[rng.randrange(m)][rng.randrange(n)] = rng.randrange(p)
             fwd = _rank_python(rows, p)
-            rev = _rank_python(rows, p, reverse_cols=True)
+            rev = _rank_python([row[::-1] for row in rows], p)
             arr = np.array(rows, dtype=np.uint64)
             assert fwd == rev == blocked_rank(arr)
 
@@ -390,6 +406,26 @@ class TestRank:
                 assert blocked_rank(np.ascontiguousarray(a.T)) == want
         # The later columns make up the rank in some cases and not in others.
         assert 50 < sum(outcomes) < 250
+
+    def test_rank_across_tile_edges_matches_reference(self, monkeypatch):
+        # With 7-row tiles and small panels every update walks many tiles.
+        # Rows that are zero on a leading column block keep zero multipliers
+        # there, and a run of 8 to 20 of them straddles a tile edge, so tiles
+        # are skipped whole, gathered and sliced.
+        monkeypatch.setattr(modular, "_TILE_ROWS", 7)
+        p = MERSENNE61
+        rng = np.random.default_rng(71)
+        for case in range(100):
+            m = int(rng.integers(20, 81))
+            n = int(m * (0.6, 1.0, 1.5)[case % 3])          # tall, square, wide
+            a = rng.integers(0, p, size=(m, n), dtype=np.uint64)
+            a[rng.random((m, n)) > 0.15] = 0
+            for _ in range(int(rng.integers(1, 4))):
+                lo = int(rng.integers(0, m))
+                a[lo:lo + int(rng.integers(8, 21)), :int(rng.integers(1, n + 1))] = 0
+            with monkeypatch.context() as mp:
+                split_at_most(mp, int(rng.integers(2, 17)))
+                assert blocked_rank(a) == _rank_python(a.tolist(), p)
 
     def test_saturated_wide_trial_never_touches_columns_past_square(self, monkeypatch):
         # At (64,64,64) r=13 the rank reaches the 1716 rows within the first
@@ -572,7 +608,7 @@ class TestRank:
         mm = instantiate(pm, random_assignment(pm, 0))
         rows = mm.data.tolist()
         assert _rank_python(rows, MERSENNE61) == 24
-        assert _rank_python(rows, MERSENNE61, reverse_cols=True) == 24
+        assert _rank_python([row[::-1] for row in rows], MERSENNE61) == 24
         split_at_most(monkeypatch, 7)
         assert blocked_rank(mm.data) == 24
 
@@ -637,12 +673,14 @@ class TestFusedArithmetic:
         assert (a[:g] == P - 1).all() and (a[g:, :g] == P - 1).all()
 
     def test_tiled_update_is_byte_identical(self, monkeypatch):
-        # `_update` on a matrix of more than 2 * _TILE_ROWS rows takes the
-        # rows it changes in tiles.  Here they skip every third row of the
+        # `_update` walks the rows below its pivots in tiles of _TILE_ROWS at
+        # every height.  Here the changed rows skip every third row of the
         # first half and run unbroken in the second, so tiles are gathered
-        # and sliced; every tiling leaves the same array as one block.
+        # and sliced; every tiling leaves the same array as one block, and
+        # that array is A22 - F (L'^-1 A12) at each strip edge.
         rng = np.random.default_rng(17)
         g, m, n = 40, 600, 1300
+        c0, c1 = g + 5, n - 7
         a = rng.integers(0, P, size=(m, n), dtype=np.uint64)
         a[g:300:3, :g] = 0
         linv = np.tril(rng.integers(0, P, size=(g, g), dtype=np.uint64))
@@ -650,14 +688,42 @@ class TestFusedArithmetic:
         for tile in (1000, 256, 33, 1):         # one block, then tiles
             monkeypatch.setattr(modular, "_TILE_ROWS", tile)
             b = a.copy()
-            _update(b, 0, list(range(g)), linv, g + 5, n - 7)
+            _update(b, 0, list(range(g)), linv, c0, c1)
             results.append(b)
         assert not np.array_equal(results[0], a)
         for b in results[1:]:
             assert np.array_equal(b, results[0])
         unchanged = results[0] == a
-        assert unchanged[:, :g + 5].all() and unchanged[:, n - 7:].all()
-        assert unchanged[g:300:3].all() and not unchanged[g + 1, g + 5:n - 7].any()
+        assert unchanged[:, :c0].all() and unchanged[:, c1:].all()
+        assert unchanged[g:300:3].all() and not unchanged[g + 1, c0:c1].any()
+        edges = strip_edges(c0, c1)
+        assert results[0][g:, edges].tolist() == reference_update(a, g, linv, edges)
+
+    @pytest.mark.parametrize("case", ["short", "zero tile", "no change"])
+    def test_update_at_default_tiles_matches_reference(self, case):
+        # At the default 256-row tiles: a 300-row matrix, whose 260 rows below
+        # the pivots end in a 4-row tile; a tile whose rows of F are all zero,
+        # which is left byte-identical; and an update that changes no row.
+        rng = np.random.default_rng(18)
+        g, m, n = 40, 300 if case == "short" else 600, 700
+        c0, c1 = g + 3, n
+        a = rng.integers(0, P, size=(m, n), dtype=np.uint64)
+        zero_f = np.zeros(m, dtype=bool)         # rows below with a zero row of F
+        if case == "zero tile":
+            zero_f[g + 256:g + 512] = True
+        elif case == "no change":
+            zero_f[g:] = True
+        a[zero_f, :g] = 0
+        linv = np.tril(rng.integers(0, P, size=(g, g), dtype=np.uint64))
+        b = a.copy()
+        _update(b, 0, list(range(g)), linv, c0, c1)
+        unchanged = b == a
+        assert unchanged[:, :c0].all() and unchanged[:g].all() and unchanged[zero_f].all()
+        changed = ~zero_f
+        changed[:g] = False
+        assert not unchanged[changed, c0:].all(axis=1).any()
+        edges = strip_edges(c0, c1)
+        assert b[g:, edges].tolist() == reference_update(a, g, linv, edges)
 
     def test_products_leave_operands_unchanged(self):
         rng = np.random.default_rng(11)
@@ -735,7 +801,7 @@ class TestVerifyGenericRank:
 
 
     def test_tall_trial_workspace_is_bounded(self):
-        # Above 512 rows the update works in 256-row tiles, so one trial at
+        # The update works in 256-row tiles at every height, so one trial at
         # (64,64,64) r=13 holds its 26 MiB matrix and a workspace of a few
         # MiB: one strip of L'^-1 A12 in limbs (2.5 MiB) and a tile's
         # temporaries (1 MiB each).  Whole-height strips held 18 MiB more.
