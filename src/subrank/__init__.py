@@ -14,10 +14,7 @@ from .certificate import (
     Verdict,
     certificate_from_json,
     certificate_to_json,
-    cross_block,
-    CrossState,
     find_certificate,
-    scripted_certificate,
     validate,
 )
 from .combinatorics import (
@@ -25,12 +22,10 @@ from .combinatorics import (
     Orbit,
     act,
     all_orbits,
-    block_intersection_count,
     count_rows,
     enumerate_rows,
     is_admissible,
     maximal_uncrossed_block,
-    orbit_of,
 )
 from .formulas import (
     DimensionResult,

@@ -14,21 +14,23 @@ A counting argument guarantees such a direction exists whenever the matrix
 has at least as many columns as rows, so running out of choices indicates
 an implementation bug, not a bad input.
 
-A block's steps follow from the block alone.  Its rows outside its own
-orbits are crossed, because it is maximal uncrossed, and its slots are
-free, so a variable's live occurrences are its block rows not yet crossed
-by this block, in columns not yet used in the step's slot.  The search
-therefore keeps only the crossed orbits and the free slots.  `validate`
-shares none of this: it replays each step on the (row tuple, column
-triple) positions that the entry rule, `occurrences`, gives its variable.
+`find_certificate` is the only builder, and it crosses each block as soon
+as it has proved it maximal.  A block's steps follow from the block alone.
+Its rows outside its own orbits are crossed, because it is maximal
+uncrossed, and its slots are free, so a variable's live occurrences are
+its block rows not yet crossed by this block, in columns not yet used in
+the step's slot.  The search therefore keeps only the crossed orbits and
+the free slots, as locals.  `validate` shares none of this: it replays
+each step on the (row tuple, column triple) positions that the entry
+rule, `occurrences`, gives its variable.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .combinatorics import Block, act, all_orbits, count_rows, maximal_uncrossed_block, orbit_of
+from .combinatorics import Block, act, all_orbits, count_rows, maximal_uncrossed_block
 from .pattern import PatternMatrix, Variable, occurrences, parse_variable
 
 
@@ -81,37 +83,12 @@ class Verdict:
     first_failing_step: int | None = None
 
 
-@dataclass
-class CrossState:
-    """Crossed orbits and, per direction, the slots with no column crossed."""
-
-    pm: PatternMatrix
-    crossed_orbits: set[tuple[int, ...]] = field(default_factory=set)
-    remaining_slots: dict[int, list[int]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.remaining_slots:
-            self.remaining_slots = {
-                t: list(range(1, self.pm.dims[t - 1] - self.pm.r + 1))
-                for t in range(1, self.pm.k + 1)
-            }
-
-    def dump(self) -> str:
-        return (
-            f"crossed {len(self.crossed_orbits) * self.pm.r}/{self.pm.n_rows} rows, "
-            f"orbits crossed: {sorted(self.crossed_orbits)}, "
-            f"remaining slots: {self.remaining_slots}"
-        )
-
-
-def cross_block(
-    pm: PatternMatrix,
-    state: CrossState,
-    block: Block,
-    slots: list[int],
+def _cross_block(
+    r: int, block: Block, slots: list[int], crossed: set[tuple[int, ...]]
 ) -> list[Step]:
-    """Cross out exactly the rows of `block` and the columns (t, m, s) with
-    m in [r], s in `slots`, one variable at a time.
+    """Cross out exactly the rows of the maximal uncrossed `block` and the
+    columns (t, m, s) with m in [r], s in `slots`, one variable at a time,
+    then add the block's orbits to `crossed`.
 
     Slots are processed in ascending order.  Within a slot, the variables
     of w_a, the shifts by a = 0..r-1 of the block's smallest canonical
@@ -122,29 +99,9 @@ def cross_block(
     of w0[t:=x] is in the block.  Every other such row is crossed, since
     the block is maximal uncrossed, so in slot s the variable of w_a crosses
     each m with x in X, with that row not yet crossed in this block and with
-    column (t, m, s) not yet used.  `state` changes only once the block is
-    crossed.
+    column (t, m, s) not yet used.
     """
-    t, r = block.direction, pm.r
-    slots = sorted(slots)
-    if len(slots) != block.size:
-        raise ValueError(f"need exactly {block.size} slots, got {len(slots)}")
-    for o in block.orbits:
-        if o.canonical in state.crossed_orbits:
-            raise ValueError(f"orbit of {o.canonical} is already crossed")
-    if not block.size:
-        return []
-    if block.orbits != maximal_uncrossed_block(
-        block.orbits[0], t, state.crossed_orbits, r, pm.k
-    ).orbits:
-        raise ValueError(f"{t}-block through {block.orbits[0].canonical} is not maximal uncrossed")
-    free = set(state.remaining_slots[t])
-    for s in slots:
-        if slots.count(s) > 1:
-            raise ValueError(f"slot {s} of direction {t} is given twice")
-        if s not in free:
-            raise ValueError(f"slot {s} of direction {t} is already used or out of range")
-
+    t = block.direction
     w = block.orbits[0].members
     # X: coordinate t of the member of each block orbit that agrees with w0
     # off t, that is, of the shift of its name that matches w0 at u != t.
@@ -153,7 +110,7 @@ def cross_block(
     # live[a]: the m whose row w_a[t:=m] is in the block and not yet crossed.
     live = [{(x - 1 + a) % r + 1 for x in xs} for a in range(r)]
     steps: list[Step] = []
-    for s in slots:
+    for s in sorted(slots):
         unused = set(range(1, r + 1))
         for rep, left in zip(w, live):
             ms = sorted(left & unused)
@@ -170,13 +127,14 @@ def cross_block(
         if unused:
             raise CrossingStuckError(
                 f"slot {s} of direction {t} left columns uncrossed: "
-                f"{[(t, m, s) for m in sorted(unused)]}; " + state.dump()
+                f"{[(t, m, s) for m in sorted(unused)]}; orbits crossed: {sorted(crossed)}"
             )
     leftover = [(*rep[: t - 1], m, *rep[t:]) for rep, left in zip(w, live) for m in sorted(left)]
     if leftover:
-        raise CrossingStuckError(f"block rows left uncrossed: {leftover}; " + state.dump())
-    state.crossed_orbits.update(o.canonical for o in block.orbits)
-    state.remaining_slots[t] = [s for s in state.remaining_slots[t] if s not in slots]
+        raise CrossingStuckError(
+            f"block rows left uncrossed: {leftover}; orbits crossed: {sorted(crossed)}"
+        )
+    crossed.update(o.canonical for o in block.orbits)
     return steps
 
 
@@ -222,51 +180,27 @@ def find_certificate(pm: PatternMatrix) -> Certificate:
             f"{pm.n_cols} columns < {pm.n_rows} rows: full row rank is "
             f"impossible for r={pm.r}, dims={pm.dims}"
         )
-    state = CrossState(pm)
+    crossed: set[tuple[int, ...]] = set()
+    free = {t: list(range(1, pm.dims[t - 1] - pm.r + 1)) for t in range(1, pm.k + 1)}
     steps: list[Step] = []
     # Crossed orbits stay crossed, so one pass meets each seed in turn.
     for seed in all_orbits(pm.r, pm.k):
-        if seed.canonical in state.crossed_orbits:
+        if seed.canonical in crossed:
             continue
-        chosen: tuple[int, Block] | None = None
         sizes = {}
         for t in range(1, pm.k + 1):
-            b = maximal_uncrossed_block(seed, t, state.crossed_orbits, pm.r, pm.k)
-            sizes[t] = b.size
-            if b.size <= len(state.remaining_slots[t]):
-                chosen = (t, b)
+            block = maximal_uncrossed_block(seed, t, crossed, pm.r, pm.k)
+            sizes[t] = block.size
+            if block.size <= len(free[t]):
                 break
-        if chosen is None:
+        else:
             raise CrossingStuckError(
                 f"no direction can absorb the blocks through {seed.canonical} "
-                f"(block sizes {sizes}); " + state.dump()
+                f"(block sizes {sizes}); crossed {len(crossed) * pm.r}/{pm.n_rows} rows, "
+                f"orbits crossed: {sorted(crossed)}, free slots: {free}"
             )
-        t, block = chosen
-        slots = state.remaining_slots[t][: block.size]
-        steps.extend(cross_block(pm, state, block, slots))
-    return _assemble(pm, steps)
-
-
-def scripted_certificate(
-    pm: PatternMatrix,
-    script: list[tuple[int, tuple[int, ...], list[int]]],
-) -> Certificate:
-    """Replay a prescribed block order instead of the default policy.
-
-    Each script entry is (direction, any member of the seed orbit, slots).
-    Precondition failures report the offending step index.
-    """
-    state = CrossState(pm)
-    steps: list[Step] = []
-    for idx, (t, member, slots) in enumerate(script):
-        try:
-            o = orbit_of(tuple(member), pm.r)
-            if o.canonical in state.crossed_orbits:
-                raise ValueError(f"orbit of {o.canonical} is already crossed")
-            block = maximal_uncrossed_block(o, t, state.crossed_orbits, pm.r, pm.k)
-            steps.extend(cross_block(pm, state, block, list(slots)))
-        except (ValueError, KeyError) as exc:
-            raise ValueError(f"script step {idx}: {exc}") from exc
+        slots, free[t] = free[t][: block.size], free[t][block.size :]
+        steps.extend(_cross_block(pm.r, block, slots, crossed))
     return _assemble(pm, steps)
 
 

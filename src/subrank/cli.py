@@ -16,7 +16,8 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import AbstractContextManager, nullcontext
+from typing import TextIO
 
 from .certificate import certificate_doc, check_certificate_size, find_certificate, validate
 from .combinatorics import count_rows
@@ -54,16 +55,22 @@ def _default_seed() -> int:
         raise ValueError(f"SUBRANK_SEED must be an integer, got {text!r}") from None
 
 
-def _write(content: str | dict, out: str | None) -> None:
-    """Write text as is, or stream a dict as indented JSON, to the file
-    `out`, or to stdout when `out` is None; there JSON ends with a newline."""
-    with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="ascii") as fh:
-        if isinstance(content, str):
-            fh.write(content)
-        else:
-            json.dump(content, fh, indent=2)
-            if out is None:
-                fh.write("\n")
+def _open_out(out: str | None) -> AbstractContextManager[TextIO]:
+    """The file `out` opened for writing, or stdout when `out` is None.
+    Commands open it before any work, so a path that cannot be written
+    fails before a result is printed."""
+    return nullcontext(sys.stdout) if out is None else open(out, "w", encoding="ascii")
+
+
+def _write(content: str | dict, fh: TextIO) -> None:
+    """Write text as is, or stream a dict as indented JSON, to `fh`; on
+    stdout JSON ends with a newline."""
+    if isinstance(content, str):
+        fh.write(content)
+    else:
+        json.dump(content, fh, indent=2)
+        if fh is sys.stdout:
+            fh.write("\n")
 
 
 def _check_prime(p: int) -> None:
@@ -110,12 +117,13 @@ def cmd_certificate(args: argparse.Namespace) -> int:
             f"full row rank is impossible at r={args.r}"
         )
     check_certificate_size(args.r, args.dims)
-    pm = build_pattern(args.r, args.dims)
-    cert = find_certificate(pm)
-    verdict = validate(pm, cert)
-    print(f"certificate: degree {cert.degree}, {len(cert.steps)} steps")
-    print(f"validation: {'ok' if verdict.ok else 'FAILED'} ({verdict.detail})")
-    _write(certificate_doc(cert), args.out or None)
+    with _open_out(args.out or None) as fh:
+        pm = build_pattern(args.r, args.dims)
+        cert = find_certificate(pm)
+        verdict = validate(pm, cert)
+        print(f"certificate: degree {cert.degree}, {len(cert.steps)} steps")
+        print(f"validation: {'ok' if verdict.ok else 'FAILED'} ({verdict.detail})")
+        _write(certificate_doc(cert), fh)
     if args.out:
         print(f"wrote {args.out}")
     return 0 if verdict.ok else 1
@@ -164,20 +172,21 @@ def cmd_table(args: argparse.Namespace) -> int:
         header += ",certificate_ok,rank_ok"
     lines = [header]
     all_ok = True
-    for n in range(1, args.max + 1):
-        q = generic_subrank((n, n, n)).q
-        rows = count_rows(q, 3)
-        cols = pattern_col_count((n, n, n), q)
-        line = f"{n},{q},{rows},{cols}"
-        if args.verify:
-            pm = build_pattern(q, (n, n, n))
-            cert = find_certificate(pm)
-            cert_ok = validate(pm, cert).ok
-            rank_ok = verify_generic_rank(pm, rows, args.trials, args.prime, args.seed).ok
-            all_ok = all_ok and cert_ok and rank_ok
-            line += f",{str(cert_ok).lower()},{str(rank_ok).lower()}"
-        lines.append(line)
-    _write("\n".join(lines) + "\n", args.out)
+    with _open_out(args.out) as fh:
+        for n in range(1, args.max + 1):
+            q = generic_subrank((n, n, n)).q
+            rows = count_rows(q, 3)
+            cols = pattern_col_count((n, n, n), q)
+            line = f"{n},{q},{rows},{cols}"
+            if args.verify:
+                pm = build_pattern(q, (n, n, n))
+                cert = find_certificate(pm)
+                cert_ok = validate(pm, cert).ok
+                rank_ok = verify_generic_rank(pm, rows, args.trials, args.prime, args.seed).ok
+                all_ok = all_ok and cert_ok and rank_ok
+                line += f",{str(cert_ok).lower()},{str(rank_ok).lower()}"
+            lines.append(line)
+        _write("\n".join(lines) + "\n", fh)
     return 0 if all_ok else 1
 
 
@@ -188,15 +197,16 @@ def cmd_export(args: argparse.Namespace) -> int:
         check_dense_size(args.r, args.dims)
     else:
         check_export_size(args.r, args.dims)
-    pm = build_pattern(args.r, args.dims)
-    if args.format == "json":
-        content = pattern_doc(pm)
-    elif args.format == "coord":
-        content = pattern_to_coordinate_list(pm)
-    else:
-        mm = instantiate(pm, random_assignment(pm, args.seed, args.prime))
-        content = modular_to_coordinate_list(mm)
-    _write(content, args.out)
+    with _open_out(args.out) as fh:
+        pm = build_pattern(args.r, args.dims)
+        if args.format == "json":
+            content = pattern_doc(pm)
+        elif args.format == "coord":
+            content = pattern_to_coordinate_list(pm)
+        else:
+            mm = instantiate(pm, random_assignment(pm, args.seed, args.prime))
+            content = modular_to_coordinate_list(mm)
+        _write(content, fh)
     return 0
 
 

@@ -76,20 +76,6 @@ class Orbit:
         return self.r
 
 
-def orbit_of(p: tuple[int, ...], r: int) -> Orbit:
-    """Orbit of p under the simultaneous cyclic shift.
-
-    The shift by 1 - p[0] is the one member whose first coordinate is 1;
-    the shifts of that member by 0..r-1 have distinct first coordinates,
-    so they are the r distinct members in order.
-    """
-    if not is_admissible(p):
-        raise ValueError(f"{p} is not an admissible row tuple")
-    if any(c < 1 or c > r for c in p):
-        raise ValueError(f"{p} has coordinates outside [1, {r}]")
-    return Orbit(canonical=act(1 - p[0], p, r), r=r)
-
-
 @dataclass(frozen=True)
 class Block:
     """A t-block: orbits whose members differ only in coordinate t.
@@ -129,15 +115,6 @@ def maximal_uncrossed_block(
     names = sorted(act(1 - q[0], q, r) for q in family if is_admissible(q))
     orbits = tuple(Orbit(canonical=n, r=r) for n in names if n not in crossed)
     return Block(direction=t, orbits=orbits)
-
-
-def block_intersection_count(b1: Block, b2: Block) -> int:
-    """Number of orbits shared by a t1-block and a t2-block, t1 != t2."""
-    if b1.direction == b2.direction:
-        raise ValueError("blocks must have different directions")
-    c1 = {o.canonical for o in b1.orbits}
-    c2 = {o.canonical for o in b2.orbits}
-    return len(c1 & c2)
 
 
 def all_orbits(r: int, k: int) -> list[Orbit]:

@@ -3,8 +3,11 @@
 This is the search as first written: each step sweeps the variable's
 occurrences through the row and column indexes of `PatternIndex.var_occ`
 and keeps those whose indexes are not yet crossed, checked against global
-sets.  The package's `cross_block` derives the same steps from the block
-alone; the tests hold the two to equal certificates.
+sets.  `find_certificate` derives the same steps from each block alone;
+the tests hold the two to equal certificates.  `scripted_certificate`
+replays a prescribed block order, such as the worked example's, through
+the same index sweep, so a script is checked by code that shares nothing
+with the package's crossing.
 """
 
 from subrank.certificate import Certificate, CrossingStuckError, Step
@@ -12,6 +15,7 @@ from subrank.combinatorics import all_orbits, maximal_uncrossed_block
 from subrank.pattern import Variable
 
 from reference_index import PatternIndex
+from reference_orbits import orbit_of
 
 
 def _cross_block(index, crossed_rows, crossed_cols, crossed_orbits, block, slots):
@@ -64,5 +68,23 @@ def reference_certificate(pm):
             raise CrossingStuckError(f"no direction can absorb the blocks through {seed.canonical}")
         slots, remaining[t] = remaining[t][: block.size], remaining[t][block.size:]
         steps += _cross_block(index, crossed_rows, crossed_cols, crossed_orbits, block, slots)
+    return _certificate(pm, steps)
+
+
+def scripted_certificate(pm, script):
+    """Cross the blocks of `script` in order: each entry is (direction, any
+    member of the seed orbit, slots), and its block is the maximal uncrossed
+    one through that orbit."""
+    index = PatternIndex(pm)
+    crossed_rows, crossed_cols, crossed_orbits = set(), set(), set()
+    steps = []
+    for t, member, slots in script:
+        block = maximal_uncrossed_block(orbit_of(member, pm.r), t, crossed_orbits, pm.r, pm.k)
+        assert block.size == len(slots)
+        steps += _cross_block(index, crossed_rows, crossed_cols, crossed_orbits, block, slots)
+    return _certificate(pm, steps)
+
+
+def _certificate(pm, steps):
     monomial = tuple(sorted((st.variable, st.multiplicity) for st in steps))
     return Certificate(r=pm.r, dims=pm.dims, steps=tuple(steps), monomial=monomial)

@@ -9,7 +9,7 @@ import math
 import time
 from itertools import product
 
-from subrank.certificate import find_certificate, scripted_certificate, validate
+from subrank.certificate import find_certificate, validate
 from subrank.combinatorics import count_rows, enumerate_rows, is_admissible
 from subrank.formulas import classify, dim_C_r, generic_subrank, pattern_col_count
 from subrank.modular import (
@@ -24,7 +24,7 @@ from subrank.modular import (
 )
 from subrank.pattern import Variable, build_pattern
 
-from worked_example import WORKED_EXAMPLE_SPOT_CHECKS, WORKED_EXAMPLE_SCRIPT, worked_example_monomial
+from worked_example import WORKED_EXAMPLE_SPOT_CHECKS, worked_example_monomial
 
 CUBE = lambda n: (n, n, n)  # noqa: E731
 
@@ -71,7 +71,7 @@ def test_criterion_3_worked_example_replay():
         else:
             assert got == Variable(*want), f"mismatch at {row}, {col}"
 
-    cert = scripted_certificate(pm, WORKED_EXAMPLE_SCRIPT)
+    cert = find_certificate(pm)
     assert validate(pm, cert).ok
     assert cert.degree == 24
     assert cert.monomial == worked_example_monomial()

@@ -3,29 +3,25 @@ from types import SimpleNamespace
 
 import pytest
 
+from subrank import certificate
 from subrank.certificate import (
     Certificate,
-    CrossState,
     Step,
     TooFewColumnsError,
     Verdict,
+    _cross_block,
     certificate_from_json,
     certificate_to_json,
     check_certificate_size,
-    cross_block,
     find_certificate,
-    scripted_certificate,
     validate,
 )
-from subrank.combinatorics import (
-    Block,
-    count_rows,
-    maximal_uncrossed_block,
-    orbit_of,
-)
+from subrank.combinatorics import count_rows, maximal_uncrossed_block
 from subrank.pattern import Variable, build_pattern
 
+from reference_crossing import scripted_certificate
 from reference_index import reference_validate
+from reference_orbits import orbit_of
 from worked_example import WORKED_EXAMPLE_SCRIPT, worked_example_monomial
 
 
@@ -100,60 +96,49 @@ class TestFindCertificate:
         for st in cert.steps:
             assert len(st.rows) == len(st.cols) == st.multiplicity
 
+    # Each (seed, direction) probed costs one maximal block, and the crossed
+    # block is not recomputed.  The search probes directions 1..t for the seed
+    # of a block it crosses in direction t: 11 probes for the worked example's
+    # five blocks, and 147 for the 63 blocks at n=400.
+    @pytest.mark.parametrize("r, dims, probes", [
+        (4, (6, 6, 6), sum(t for t, _, _ in WORKED_EXAMPLE_SCRIPT)),
+        (34, (400, 400, 400), 147),
+    ])
+    def test_one_maximality_computation_per_probe(self, monkeypatch, r, dims, probes):
+        calls = []
+        maximal = certificate.maximal_uncrossed_block
+
+        def spy(o, t, crossed, r, k):
+            calls.append((o.canonical, t))
+            return maximal(o, t, crossed, r, k)
+
+        monkeypatch.setattr(certificate, "maximal_uncrossed_block", spy)
+        find_certificate(build_pattern(r, dims))
+        assert len(set(calls)) == len(calls) == probes
+
 
 class TestCrossBlock:
     def test_fifteen_rows_and_columns(self):
-        pm = build_pattern(5, (8, 6, 6))
-        state = CrossState(pm)
-        block = maximal_uncrossed_block(orbit_of((1, 2, 4), 5), 1, set(), 5, 3)
+        crossed = set()
+        block = maximal_uncrossed_block(orbit_of((1, 2, 4), 5), 1, crossed, 5, 3)
         assert block.size == 3
-        steps = cross_block(pm, state, block, [1, 2, 3])
+        steps = _cross_block(5, block, [1, 2, 3], crossed)
         assert sum(st.multiplicity for st in steps) == 15
         assert len({p for st in steps for p in st.rows}) == 15
         assert len({c for st in steps for c in st.cols}) == 15
+        assert crossed == {o.canonical for o in block.orbits}
 
     def test_worked_example_first_block(self):
-        pm = build_pattern(4, (6, 6, 6))
-        state = CrossState(pm)
-        block = maximal_uncrossed_block(orbit_of((1, 2, 3), 4), 1, set(), 4, 3)
+        crossed = set()
+        block = maximal_uncrossed_block(orbit_of((1, 2, 3), 4), 1, crossed, 4, 3)
         assert block.size == 2
-        steps = cross_block(pm, state, block, [1, 2])
+        steps = _cross_block(4, block, [1, 2], crossed)
         assert len({p for st in steps for p in st.rows}) == 8
         assert len({c for st in steps for c in st.cols}) == 8
         powers = sorted(st.multiplicity for st in steps)
         assert powers == [1, 1, 1, 1, 2, 2]
-
-    def test_empty_block(self):
-        pm = build_pattern(4, (6, 6, 6))
-        state = CrossState(pm)
-        assert cross_block(pm, state, Block(direction=1, orbits=()), []) == []
-
-    def test_slot_count_must_match(self):
-        pm = build_pattern(4, (6, 6, 6))
-        state = CrossState(pm)
-        block = maximal_uncrossed_block(orbit_of((1, 2, 3), 4), 1, set(), 4, 3)
-        with pytest.raises(ValueError, match="slots"):
-            cross_block(pm, state, block, [1])
-
-    @pytest.mark.parametrize("slots, message", [
-        ([1, 1], "slot 1 of direction 1 is given twice"),
-        ([2, 0], "slot 0 of direction 1 is already used or out of range"),
-        ([2, 5], "slot 5 of direction 1 is already used or out of range"),
-        ([1, 3], "slot 3 of direction 1 is already used or out of range"),
-    ])
-    def test_bad_slots_rejected_before_any_crossing(self, slots, message):
-        # (8,6,6) at r=4 has slots 1..4 in direction 1; 3 and 4 are used below.
-        pm = build_pattern(4, (8, 6, 6))
-        state = CrossState(pm)
-        first = maximal_uncrossed_block(orbit_of((1, 2, 3), 4), 1, set(), 4, 3)
-        cross_block(pm, state, first, [3, 4])
-        crossed, remaining = set(state.crossed_orbits), dict(state.remaining_slots)
-        block = maximal_uncrossed_block(orbit_of((1, 2, 4), 4), 1, crossed, 4, 3)
-        assert block.size == 2
-        with pytest.raises(ValueError, match=message):
-            cross_block(pm, state, block, slots)
-        assert state.crossed_orbits == crossed
-        assert state.remaining_slots == remaining
+        # The search crosses this block first, in the same steps.
+        assert tuple(steps) == find_certificate(build_pattern(4, (6, 6, 6))).steps[:len(steps)]
 
     def test_matches_reference_crossing(self):
         from itertools import combinations_with_replacement, product
@@ -176,6 +161,8 @@ class TestCrossBlock:
 
 
 class TestScriptedCertificate:
+    """The worked example's block order, replayed by the reference crossing."""
+
     def test_script_reproduces_worked_example_monomial(self):
         pm = build_pattern(4, (6, 6, 6))
         cert = scripted_certificate(pm, WORKED_EXAMPLE_SCRIPT)
@@ -186,28 +173,6 @@ class TestScriptedCertificate:
     def test_search_agrees_with_worked_example_script(self):
         pm = build_pattern(4, (6, 6, 6))
         assert find_certificate(pm) == scripted_certificate(pm, WORKED_EXAMPLE_SCRIPT)
-
-    def test_empty_script_on_empty_pattern(self):
-        pm = build_pattern(2, (3, 3, 3))
-        cert = scripted_certificate(pm, [])
-        assert cert.steps == ()
-        assert validate(pm, cert).ok
-
-    def test_repeated_orbit_rejected_with_index(self):
-        pm = build_pattern(4, (6, 6, 6))
-        script = [(1, (1, 2, 3), [1, 2]), (2, (2, 3, 4), [1])]
-        with pytest.raises(ValueError, match="step 1"):
-            scripted_certificate(pm, script)
-
-    @pytest.mark.parametrize("script, message", [
-        ([(1, (1, 2, 3), [1, 1])], "script step 0: slot 1 of direction 1 is given twice"),
-        ([(2, (1, 2, 3), [1, 2]), (2, (1, 2, 4), [2, 1])],
-         "script step 1: slot 1 of direction 2 is already used or out of range"),
-    ])
-    def test_bad_slot_rejected_with_index(self, script, message):
-        pm = build_pattern(4, (6, 6, 6))
-        with pytest.raises(ValueError, match=message):
-            scripted_certificate(pm, script)
 
 
 def single_mutations(cert):

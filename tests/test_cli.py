@@ -117,6 +117,14 @@ class TestCertificate:
         assert err == ("error: pattern has 5088276 rows, over the 524288 "
                        "that a certificate search holds in memory\n")
 
+    def test_unwritable_out_fails_before_the_search(self, capsys, monkeypatch, tmp_path):
+        forbid_pattern_build(monkeypatch)
+        path = tmp_path / "missing" / "c.json"
+        code, out, err = run(capsys, "certificate", "--dims", "6,6,6", "--r", "4",
+                             "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
 
 class TestVerify:
     def test_square_example(self, capsys):
@@ -250,6 +258,13 @@ class TestTable:
         code, out, _ = run(capsys, "table", "--max", "193")
         assert code == 0
         assert len(out.strip().split("\n")) == 194
+
+    def test_unwritable_out_fails_before_any_row(self, capsys, monkeypatch, tmp_path):
+        forbid_pattern_build(monkeypatch)
+        path = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, "table", "--max", "3", "--verify", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
 
     def test_verified_table_to_40_within_budget(self, cached_cli_run):
         code, out, elapsed = cached_cli_run("table", "--max", "40", "--verify")

@@ -8,13 +8,13 @@ from subrank.combinatorics import (
     Orbit,
     act,
     all_orbits,
-    block_intersection_count,
     count_rows,
     enumerate_rows,
     is_admissible,
     maximal_uncrossed_block,
-    orbit_of,
 )
+
+from reference_orbits import block_intersection_count, orbit_of
 
 
 def brute_force_rows(r, k):

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from subrank.certificate import find_certificate, scripted_certificate, validate
+from subrank.certificate import find_certificate, validate
 from subrank.combinatorics import is_admissible
 from subrank import modular
 from subrank.formulas import dim_C_r
@@ -38,8 +38,6 @@ from subrank.modular import (
     verify_generic_rank,
 )
 from subrank.pattern import build_pattern
-
-from worked_example import WORKED_EXAMPLE_SCRIPT
 
 
 def reference_seeded_value(seed, index, p):
@@ -844,7 +842,7 @@ class TestPinnedTrials:
 class TestMinorDeterminant:
     def test_worked_example_certificate_minor(self):
         pm = build_pattern(4, (6, 6, 6))
-        cert = scripted_certificate(pm, WORKED_EXAMPLE_SCRIPT)
+        cert = find_certificate(pm)
         for seed in range(3):
             assert minor_determinant_check(pm, cert, seed=seed).ok
 
