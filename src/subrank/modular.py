@@ -33,6 +33,19 @@ the square falls short of full row rank; then the square's pivots, kept as
 their columns and, on the diagonal, their inverses, are applied to them in
 order, and the rows left are ranked there.  Other primes use the plain
 Python elimination that tests also use as the reference.
+
+A rank trial of a pattern uses its shape first.  Direction 1's columns are
+block diagonal: r blocks of n_rows / r rows by n_1 - r columns, one per
+value of j_1.  So the trial eliminates those blocks together, one batched
+pivot step per column position over a stack of them, applies each block's
+pivots to the later columns with the same update, moves the rows left
+below the pivots to the front of the matrix's own buffer and ranks only
+that Schur complement.  A nonzero off the blocks, or a block without a
+pivot in one of its leading columns, sends the matrix to the kernel above
+unchanged.  The step is taken by input size only: where the kernel would
+split the matrix (more than 2^14 entries) and some column lies past the
+blocks, since smaller matrices, such as every dimension-oracle input, run
+faster on the kernel alone.
 """
 
 from __future__ import annotations
@@ -104,7 +117,7 @@ def random_assignment(pm: PatternMatrix, seed: int, p: int = DEFAULT_PRIME) -> R
 # Largest dense uint64 matrix `instantiate` allocates, in bytes.  A rank
 # trial eliminates the matrix in place with a workspace of a few MiB, so a
 # large one peaks at little over the matrix: `verify` at n=100 peaks at
-# 173 MB RSS for a 138 MB matrix, and at n=150 at 557 MB for 519 MB.
+# 172-173 MB RSS for a 138 MB matrix, and at n=150 at 558 MB for 519 MB.
 _DENSE_LIMIT = 1 << 30
 
 
@@ -505,23 +518,124 @@ def _rank61(a: np.ndarray) -> int:
 
     A wide matrix is first factored on its leading square alone: when that
     reaches full row rank, the columns past it are never touched.  Only
-    when it falls short are its pivots applied to them, in order and
-    _PANEL at a time, each group's L'^-1 rebuilt from its multipliers and
-    the pivot inverses on its diagonal; the rows left below the pivots are
-    then ranked on those columns."""
+    when it falls short are its pivots applied to them; the rows left below
+    the pivots are then ranked on those columns."""
     m, n = a.shape
     piv_cols = _factor(a, 0, 0, min(m, n))[0]
     rank = len(piv_cols)
     if rank == m or n <= m:
         return rank
-    for i0 in range(0, rank, _PANEL):
-        cols = piv_cols[i0:i0 + _PANEL]
-        lower = a[i0:i0 + len(cols), cols]
-        _update(a, i0, cols, _lower_inverse(lower, np.diagonal(lower)), m, n)
+    _apply_pivots(a, piv_cols, m, n)
     return rank + _rank61(a[rank:, m:])
 
 
+def _apply_pivots(a: np.ndarray, piv_cols: list[int], c0: int, c1: int) -> None:
+    """Apply the eliminated pivots in rows 0, 1, ... of `a` at `piv_cols` to
+    columns c0:c1, in order and _PANEL at a time, each group's L'^-1 rebuilt
+    from its multipliers and the pivot inverses on its diagonal."""
+    for i0 in range(0, len(piv_cols), _PANEL):
+        cols = piv_cols[i0:i0 + _PANEL]
+        lower = a[i0:i0 + len(cols), cols]
+        _update(a, i0, cols, _lower_inverse(lower, np.diagonal(lower)), c0, c1)
+
+
+def _rank_blocks(a: np.ndarray, blocks: int, width: int) -> int:
+    """Rank mod 2^61 - 1 of `a`, which it eliminates in place, when its first
+    blocks * width columns are block diagonal: block i is rows i h:(i+1) h
+    by columns i width:(i+1) width, with h = n_rows / blocks.
+
+    All blocks are eliminated together by `_eliminate_blocks`, on a copy of
+    them, to g = min(h, width) pivots each.  Then each block's pivots are
+    applied to the columns past the blocks, the blocks * (h - g) rows left
+    below them are moved up into the front of the buffer of `a`, and the
+    rank is blocks * g plus the rank of that Schur complement.  Any nonzero
+    outside the blocks in their columns, or a block with no pivot in one of
+    its first g columns, sends the whole matrix to `_rank61` instead; `a` is
+    untouched by then."""
+    m, n = a.shape
+    h, w = m // blocks, blocks * width
+    g = min(h, width)
+    for i in range(blocks):
+        band = a[i * h:(i + 1) * h, :w]
+        if band[:, :i * width].any() or band[:, (i + 1) * width:].any():
+            return _rank61(a)
+    stack = np.stack([a[i * h:(i + 1) * h, i * width:(i + 1) * width] for i in range(blocks)])
+    order = _eliminate_blocks(stack, g)
+    if order is None:
+        return _rank61(a)
+    if g == h:
+        return m
+    for i in range(blocks):
+        rows = a[i * h:(i + 1) * h]
+        if (order[i] != np.arange(h)).any():
+            rows[:, w:] = rows[order[i], w:]
+        rows[:, i * width:(i + 1) * width] = stack[i]
+        _apply_pivots(rows, list(range(i * width, i * width + g)), w, n)
+    del stack                                   # free it before the complement's rank
+    # Row j of the complement is row j + (i + 1) g of `a`, which for g >= 1
+    # starts past where row j ends in the narrower complement, so each row
+    # moves up without overlapping its source or any row still to move.
+    left = [i * h + q for i in range(blocks) for q in range(g, h)]
+    schur = a.reshape(-1)[:len(left) * (n - w)].reshape(len(left), n - w)
+    for j, i in enumerate(left):
+        schur[j] = a[i, w:]
+    return blocks * g + _rank61(schur)
+
+
+def _eliminate_blocks(stack: np.ndarray, g: int) -> np.ndarray | None:
+    """Eliminate the first g columns of every (h, width) block of `stack`
+    together, in place; return each block's row order, as indices of its
+    rows before, or None if some block has no pivot in one of those columns.
+
+    One batched step per column position: each block takes its first
+    nonzero at or below the diagonal as the pivot, as `_factor`'s leaf does,
+    and leaves the same layout: the pivot entry becomes its inverse, the
+    pivot row right of it is scaled, and each row below keeps its
+    multiplier in the pivot column."""
+    blocks, h = stack.shape[:2]
+    order = np.tile(np.arange(h), (blocks, 1))
+    every = np.arange(blocks)
+    for c in range(g):
+        found = stack[:, c:, c] != 0
+        piv = found.argmax(axis=1)
+        if not found[every, piv].all():
+            return None
+        piv += c
+        swap = np.flatnonzero(piv != c)
+        if swap.size:
+            to = piv[swap]
+            stack[swap, c], stack[swap, to] = stack[swap, to], stack[swap, c]
+            order[swap, c], order[swap, to] = order[swap, to], order[swap, c]
+        invs = np.array([pow(v, -1, _M61) for v in stack[:, c, c].tolist()], dtype=np.uint64)
+        stack[:, c, c] = invs
+        row = stack[:, c, c + 1:]
+        row[...] = _mulmod_m61(invs[:, None], row)
+        below = stack[:, c + 1:, c + 1:]
+        below[...] = _sub61(below, _mul61(stack[:, c + 1:, c, None], row[:, None, :]))
+    return order
+
+
 # -- verification operations ---------------------------------------------------
+
+
+def _pattern_rank(pm: PatternMatrix, seed: int, p: int) -> int:
+    """Rank of `pm` instantiated at the seeded assignment (seed, p).
+
+    The rank owns the matrix: it eliminates it in place, and neither it nor
+    the assignment outlives the call.  By the entry rule, direction 1's
+    columns are block diagonal: column (1, m, s) meets only the rows with
+    j_1 = m, which in lexicographic order are the m-th run of n_rows / r
+    rows (relabelling [r] keeps a row admissible, so every m has as many).
+    So mod 2^61 - 1 `_rank_blocks` eliminates those r blocks of n_1 - r
+    columns together first, but only where `_factor` would split the matrix
+    (over _BASE_CELLS entries) and some column lies past the blocks; smaller
+    matrices are faster on the generic kernel alone."""
+    mm = instantiate(pm, random_assignment(pm, seed, p))
+    blocks, width = pm.r, pm.dims[0] - pm.r
+    if (mm.p == MERSENNE61 and mm.n_rows * mm.n_cols > _BASE_CELLS
+            and blocks >= 2 and 0 < blocks * width < mm.n_cols):
+        return _rank_blocks(mm.data, blocks, width)
+    return rank_mod_p(mm, overwrite=True)
 
 
 def verify_generic_rank(
@@ -539,9 +653,7 @@ def verify_generic_rank(
     ranks: list[int] = []
     for i in range(trials):
         seed = base_seed + i
-        # The trial owns its matrix: the rank eliminates it in place, and no
-        # reference to it outlives the trial.
-        rank = rank_mod_p(instantiate(pm, random_assignment(pm, seed, p)), overwrite=True)
+        rank = _pattern_rank(pm, seed, p)
         ranks.append(rank)
         if rank >= expected:
             return Verdict(
@@ -673,8 +785,7 @@ def subspace_dimension_oracle(
         raise ValueError(f"need 1 <= r <= min(dims), got r={r}, dims={dims}")
     check_dense_size(r, dims)
     pm = PatternMatrix(r, dims)
-    mm = instantiate(pm, random_assignment(pm, seed, p))
-    return math.prod(dims) - pm.n_rows + rank_mod_p(mm, overwrite=True)
+    return math.prod(dims) - pm.n_rows + _pattern_rank(pm, seed, p)
 
 
 # -- primality (CLI input validation) --------------------------------------------

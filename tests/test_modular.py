@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from subrank.certificate import find_certificate, validate
-from subrank.combinatorics import is_admissible
+from subrank.combinatorics import count_rows, is_admissible
 from subrank import modular
-from subrank.formulas import dim_C_r
+from subrank.formulas import dim_C_r, generic_subrank
 from subrank.modular import (
     MERSENNE61,
     ModularMatrix,
@@ -22,6 +22,8 @@ from subrank.modular import (
     _matmul_mod_m61,
     _mul61,
     _mulmod_m61,
+    _pattern_rank,
+    _rank_blocks,
     _rank_python,
     _sub61,
     _update,
@@ -609,6 +611,229 @@ class TestRank:
         assert _rank_python([row[::-1] for row in rows], MERSENNE61) == 24
         split_at_most(monkeypatch, 7)
         assert blocked_rank(mm.data) == 24
+
+
+def block_layout(rng: np.random.Generator, blocks: int, h: int, width: int, extra: int) -> np.ndarray:
+    """A seeded (blocks h) x (blocks width + extra) matrix whose first blocks
+    width columns are block diagonal, as `_rank_blocks` expects: block i is
+    rows i h:(i+1) h by columns i width:(i+1) width, and every entry of the
+    blocks and of the later columns is a random residue."""
+    a = np.zeros((blocks * h, blocks * width + extra), dtype=np.uint64)
+    for i in range(blocks):
+        a[i * h:(i + 1) * h, i * width:(i + 1) * width] = rng.integers(
+            0, MERSENNE61, size=(h, width), dtype=np.uint64)
+    a[:, blocks * width:] = rng.integers(0, MERSENNE61, size=(blocks * h, extra), dtype=np.uint64)
+    return a
+
+
+def spy_block_step(monkeypatch) -> dict[str, list]:
+    """Record what each `_eliminate_blocks` call returned (None: a block had
+    no pivot) and a copy of every matrix `_rank61` ranks, as it was passed,
+    in call order."""
+    seen = {"eliminated": [], "ranked": []}
+    eliminate, rank61 = modular._eliminate_blocks, modular._rank61
+
+    def spy_eliminate(stack, g):
+        order = eliminate(stack, g)
+        seen["eliminated"].append(order)
+        return order
+
+    def spy_rank61(a):
+        seen["ranked"].append(a.copy())
+        return rank61(a)
+
+    monkeypatch.setattr(modular, "_eliminate_blocks", spy_eliminate)
+    monkeypatch.setattr(modular, "_rank61", spy_rank61)
+    return seen
+
+
+def cube_shapes(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """(dims, r) of the cube n at r = Q and at the overshoot r = Q + 1, where
+    the pattern has rows."""
+    q = generic_subrank((n, n, n)).q
+    return [((n, n, n), r) for r in (q, q + 1) if 1 <= r <= n and count_rows(r, 3)]
+
+
+class TestBlockStep:
+    # Direction 1's columns of a pattern are block diagonal, so a rank trial
+    # eliminates those blocks together and ranks only their Schur complement.
+    # Every rank must equal the generic kernel's, and `_rank_python`'s where
+    # the matrix is small.
+
+    @pytest.mark.parametrize("r, dims", [
+        (4, (6, 6, 6)), (6, (14, 16, 18)), (5, (9, 7, 8)), (3, (8, 8, 8, 8)),
+        (3, (4, 5, 6, 7)), (2, (5, 3, 4, 3, 6)), (4, (30, 8, 8)), (13, (64, 64, 64)),
+    ])
+    def test_direction_one_is_block_diagonal(self, r, dims):
+        # Column (1, m, s) meets only the rows with j_1 = m, and those are the
+        # m-th run of n_rows / r rows; every other direction lies past them.
+        pm = build_pattern(r, dims)
+        h, width = pm.n_rows // r, dims[0] - r
+        assert h * r == pm.n_rows
+        blocks = pm.direction_blocks()
+        cols, _ = next(blocks)
+        block = np.arange(pm.n_rows) // h
+        assert np.array_equal(cols, block[:, None] * width + np.arange(width))
+        assert all((c >= r * width).all() for c, _ in blocks)
+
+    @pytest.mark.parametrize("n", range(3, 25))
+    def test_cubes_match_generic_kernel(self, n, monkeypatch):
+        seen = spy_block_step(monkeypatch)
+        for dims, r in cube_shapes(n):
+            pm = build_pattern(r, dims)
+            for seed in range(3):
+                a = instantiate(pm, random_assignment(pm, seed)).data
+                want = modular._rank61(a.copy())
+                if pm.n_rows * pm.n_cols <= 60 * 105:
+                    assert _rank_python(a.tolist(), MERSENNE61) == want
+                seen["eliminated"].clear()
+                assert _rank_blocks(a, r, n - r) == want
+                # Seeded values give every block a pivot in every column.
+                assert [order is None for order in seen["eliminated"]] == [False]
+
+    @pytest.mark.parametrize("r, dims", [(3, (8, 8, 8, 8)), (6, (14, 16, 18))])
+    def test_order_four_and_non_cube_match_generic_kernel(self, r, dims, monkeypatch):
+        seen = spy_block_step(monkeypatch)
+        pm = build_pattern(r, dims)
+        for seed in range(3):
+            a = instantiate(pm, random_assignment(pm, seed)).data
+            want = modular._rank61(a.copy())
+            if seed == 0:
+                assert _rank_python(a.tolist(), MERSENNE61) == want
+            assert _rank_blocks(a, r, dims[0] - r) == want == pm.n_rows
+        assert len(seen["eliminated"]) == 3 and all(o is not None for o in seen["eliminated"])
+
+    def test_all_ones_falls_back(self, monkeypatch):
+        # Every block is all ones, of rank 1, so no block finds a second
+        # pivot and the whole matrix goes to the generic kernel.
+        seen = spy_block_step(monkeypatch)
+        pm = build_pattern(5, (12, 12, 12))
+        ones = RandomAssignment(0, MERSENNE61, np.ones(pm.n_vars, dtype=np.uint64))
+        a = instantiate(pm, ones).data
+        want = _rank_python(a.tolist(), MERSENNE61)
+        assert _rank_blocks(a, 5, 7) == want < pm.n_rows
+        assert seen["eliminated"] == [None]
+        assert seen["ranked"][0].shape == (pm.n_rows, pm.n_cols)
+
+    @pytest.mark.parametrize("dependent", [False, True])
+    def test_block_without_pivot_falls_back(self, dependent, monkeypatch):
+        # Block 2 has no pivot in its column 3: the column is zero, or twice
+        # its column 1, which leaves no pivot only once column 1 is
+        # eliminated.
+        seen = spy_block_step(monkeypatch)
+        rng = np.random.default_rng(3 + dependent)
+        blocks, h, width = 4, 9, 5
+        a = block_layout(rng, blocks, h, width, 12)
+        rows, c = slice(2 * h, 3 * h), 2 * width + 3
+        a[rows, c] = _mulmod_m61(a[rows, c - 2], np.uint64(2)) if dependent else 0
+        want = _rank_python(a.tolist(), MERSENNE61)
+        before = a.copy()
+        assert _rank_blocks(a, blocks, width) == want
+        assert seen["eliminated"] == [None]
+        # The generic kernel ranked the matrix as it was given.
+        assert np.array_equal(seen["ranked"][0], before)
+
+    @pytest.mark.parametrize("row, col", [(0, 18), (119, 0), (50, 30)])
+    def test_nonzero_outside_blocks_skips_step(self, row, col, monkeypatch):
+        # (14,14,14) r=6 has six 20 x 8 blocks; one nonzero off them, in
+        # their columns, and the matrix is not block diagonal.
+        seen = spy_block_step(monkeypatch)
+        pm = build_pattern(6, (14, 14, 14))
+        a = instantiate(pm, random_assignment(pm, 0)).data
+        assert a[row, col] == 0 and row // 20 != col // 8
+        a[row, col] = 12345
+        want = modular._rank61(a.copy())
+        before = a.copy()
+        seen["ranked"].clear()
+        assert _rank_blocks(a, 6, 8) == want
+        assert seen["eliminated"] == []
+        assert np.array_equal(seen["ranked"][0], before)
+
+    def test_wide_blocks_are_full_row_rank(self, monkeypatch):
+        # Blocks wider than tall reach g = h pivots each: full row rank, and
+        # nothing is left to rank past them, whatever the later columns hold.
+        seen = spy_block_step(monkeypatch)
+        rng = np.random.default_rng(11)
+        a = block_layout(rng, 3, 4, 7, 5)
+        a[:, 21:] = 0
+        assert _rank_python(a.tolist(), MERSENNE61) == 12
+        assert _rank_blocks(a, 3, 7) == 12
+        assert seen["ranked"] == []
+        pm = build_pattern(4, (30, 8, 8))                # 24 rows in blocks of 6 x 26
+        a = instantiate(pm, random_assignment(pm, 0)).data
+        want = _rank_python(a.tolist(), MERSENNE61)
+        assert _rank_blocks(a, 4, 26) == want == 24
+        assert [o is None for o in seen["eliminated"]] == [False, False]
+
+    def test_random_layouts_match_reference(self, monkeypatch):
+        # Sparse blocks put pivots below the diagonal, so rows are swapped
+        # and later columns must follow them; some blocks lose a pivot and
+        # fall back.  Later columns of low rank leave complements short of
+        # full rank.  Later columns that are each block's own columns times
+        # a matrix leave a zero complement, but only if every row keeps its
+        # later part through the swaps and the eliminated blocks are used.
+        seen = spy_block_step(monkeypatch)
+        p = MERSENNE61
+        rng = np.random.default_rng(57)
+        swapped = fell_back = short = spanned = 0
+        for case in range(300):
+            blocks, h, width = (int(x) for x in rng.integers(1, (5, 10, 9)))
+            extra = int(rng.integers(1, 14))
+            a = block_layout(rng, blocks, h, width, extra)
+            w = blocks * width
+            a[:, :w][rng.random((blocks * h, w)) < (0.1, 0.4, 0.7)[case % 3]] = 0
+            if case % 4 == 0:
+                k = int(rng.integers(0, 3))
+                a[:, w:] = _matmul_mod_m61(
+                    rng.integers(0, p, size=(blocks * h, k), dtype=np.uint64),
+                    rng.integers(0, p, size=(k, extra), dtype=np.uint64)) if k else 0
+            elif case % 4 == 1:
+                for i in range(blocks):
+                    a[i * h:(i + 1) * h, w:] = _matmul_mod_m61(
+                        a[i * h:(i + 1) * h, i * width:(i + 1) * width],
+                        rng.integers(0, p, size=(width, extra), dtype=np.uint64))
+            want = _rank_python(a.tolist(), p)
+            seen["eliminated"].clear()
+            with monkeypatch.context() as mp:
+                split_at_most(mp, int(rng.integers(2, 9)))
+                assert _rank_blocks(a, blocks, width) == want
+            order = seen["eliminated"][0] if seen["eliminated"] else None
+            fell_back += order is None
+            moved = order is not None and (order != np.arange(h)).any()
+            swapped += moved
+            short += want < min(a.shape)
+            spanned += moved and case % 4 == 1 and h > width
+        assert swapped > 30 and fell_back > 30 and short > 30 and spanned > 5
+
+    def test_trials_take_the_step_by_size_only(self, monkeypatch):
+        # Only where `_factor` would split (over 2^14 entries) and some column
+        # lies past the blocks: the (6,6,6) warm-up, the five dim-oracle
+        # matrices and (40,7,7) r=7 (no later column) stay on the generic
+        # kernel; so does any other prime.
+        taken = []
+        rank_blocks = modular._rank_blocks
+
+        def spy(a, blocks, width):
+            taken.append(a.shape)
+            return rank_blocks(a, blocks, width)
+
+        monkeypatch.setattr(modular, "_rank_blocks", spy)
+        generic = [(4, (6, 6, 6)), (6, (10, 10, 10)), (6, (12, 12, 12)), (5, (6, 8, 10)),
+                   (3, (4, 4, 4, 4)), (3, (6, 6, 6, 6)), (7, (40, 7, 7))]
+        for r, dims in generic:
+            pm = build_pattern(r, dims)
+            assert _pattern_rank(pm, 0, MERSENNE61) == modular._rank61(
+                instantiate(pm, random_assignment(pm, 0)).data)
+        assert taken == []
+        for r, dims in [(6, (14, 14, 14)), (9, (32, 32, 32)), (3, (8, 8, 8, 8))]:
+            pm = build_pattern(r, dims)
+            assert _pattern_rank(pm, 0, MERSENNE61) == pm.n_rows
+        assert taken == [(120, 144), (504, 621)]
+        monkeypatch.setattr(modular, "_BASE_CELLS", 0)
+        pm, p = build_pattern(4, (7, 7, 7)), 1_000_003
+        want = _rank_python(instantiate(pm, random_assignment(pm, 0, p)).data.tolist(), p)
+        assert _pattern_rank(pm, 0, p) == want
+        assert len(taken) == 2
 
 
 P = MERSENNE61
