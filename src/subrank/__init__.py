@@ -42,11 +42,8 @@ from .modular import (
     MERSENNE61,
     ModularMatrix,
     RandomAssignment,
-    brute_force_uniqueness,
-    count_monomial_terms,
     instantiate,
     is_prime,
-    minor_determinant_check,
     modular_to_coordinate_list,
     random_assignment,
     rank_mod_p,
@@ -58,11 +55,8 @@ from .pattern import (
     Variable,
     build_pattern,
     occurrences,
-    parse_coordinate_list,
     parse_variable,
-    pattern_from_json,
     pattern_to_coordinate_list,
-    pattern_to_json,
 )
 
 __version__ = "0.1.0"

@@ -28,6 +28,7 @@ rule, `occurrences`, gives its variable.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .combinatorics import Block, act, all_orbits, count_rows, maximal_uncrossed_block
@@ -284,8 +285,20 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(certificate_doc(cert), indent=2)
 
 
+def _popped(items: object) -> Iterator[object]:
+    """The items of a parsed JSON value in order; a list gives up each item
+    as it is yielded, so the caller holds only what it has built from it."""
+    if isinstance(items, list):
+        items.reverse()
+        while items:
+            yield items.pop()
+    else:
+        yield from items
+
+
 def certificate_from_json(text: str) -> Certificate:
     doc = json.loads(text)
+    del text  # not needed past here, and the steps built below set the peak
     try:
         steps = tuple(
             Step(
@@ -293,7 +306,7 @@ def certificate_from_json(text: str) -> Certificate:
                 rows=tuple(tuple(p) for p in st["rows"]),
                 cols=tuple(tuple(c) for c in st["cols"]),
             )
-            for st in doc["steps"]
+            for st in _popped(doc["steps"])
         )
         monomial = tuple(
             (parse_variable(m["var"]), int(m["power"])) for m in doc["monomial"]

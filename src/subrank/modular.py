@@ -52,11 +52,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
-from .certificate import Certificate, Verdict
+from .certificate import Verdict
 from .combinatorics import count_rows
 from .formulas import pattern_col_count
 from .pattern import PatternMatrix
@@ -125,10 +124,16 @@ _DENSE_LIMIT = 1 << 30
 class ModularMatrix:
     """Matrix over F_p, stored dense; zero entries are residue 0."""
 
-    n_rows: int
-    n_cols: int
     p: int
-    data: np.ndarray  # uint64, shape (n_rows, n_cols), residues reduced
+    data: np.ndarray  # uint64, residues reduced; its shape is the matrix's
+
+    @property
+    def n_rows(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def n_cols(self) -> int:
+        return self.data.shape[1]
 
 
 def check_dense_size(r: int, dims: tuple[int, ...]) -> None:
@@ -160,7 +165,7 @@ def instantiate(pm: PatternMatrix, assignment: RandomAssignment) -> ModularMatri
     rows = np.arange(pm.n_rows)[:, None]
     for cols, var in pm.direction_blocks():
         data[rows, cols] = values[var]
-    return ModularMatrix(pm.n_rows, pm.n_cols, p, data)
+    return ModularMatrix(p, data)
 
 
 def modular_to_coordinate_list(mm: ModularMatrix) -> str:
@@ -665,99 +670,6 @@ def verify_generic_rank(
         f"no trial reached rank {expected}; ranks {ranks} "
         f"(max {max(ranks)}) over seeds {base_seed}..{base_seed + trials - 1}",
     )
-
-
-def _certificate_columns(pm: PatternMatrix, cert: Certificate) -> list[int]:
-    col_pos = {c: j for j, c in enumerate(pm.cols)}
-    return sorted(col_pos[c] for st in cert.steps for c in st.cols)
-
-
-def minor_determinant_check(
-    pm: PatternMatrix,
-    cert: Certificate,
-    p: int = DEFAULT_PRIME,
-    seed: int = 0,
-    assignment: RandomAssignment | None = None,
-) -> Verdict:
-    """Evaluate the square minor on all rows and the certificate's crossed
-    columns at a seeded random point; ok iff it has full rank, that is, a
-    nonzero determinant.
-
-    `assignment` overrides the seeded values (negative controls); its
-    prime and seed then replace `p` and `seed`."""
-    cols = _certificate_columns(pm, cert)
-    if len(cols) != pm.n_rows:
-        return Verdict(
-            False,
-            f"certificate crosses {len(cols)} columns but the pattern has "
-            f"{pm.n_rows} rows; minor is not square",
-        )
-    if len(set(cols)) != len(cols):
-        return Verdict(False, "certificate columns are not pairwise distinct")
-    if assignment is None:
-        assignment = random_assignment(pm, seed, p)
-    p, seed = assignment.p, assignment.seed
-    # `take` copies the columns into a C-ordered array of their own, and the
-    # full matrix is dropped before the minor is eliminated in place.
-    minor = np.take(instantiate(pm, assignment).data, cols, axis=1)
-    rank = rank_mod_p(ModularMatrix(pm.n_rows, pm.n_rows, p, minor), overwrite=True)
-    if rank < pm.n_rows:
-        return Verdict(
-            False, f"minor is singular mod {p} at seed {seed}: rank {rank} < {pm.n_rows}"
-        )
-    return Verdict(True, f"minor has full rank {rank} mod {p}")
-
-
-def count_monomial_terms(
-    entries: list[list[str | None]],
-    monomial: dict[str, int],
-) -> int:
-    """Number of permutation terms of the symbolic determinant equal to the
-    given monomial (a multiset of variable names with powers)."""
-    size = len(entries)
-    if any(len(row) != size for row in entries):
-        raise ValueError("matrix must be square")
-    target = sorted(
-        name for name, power in monomial.items() for _ in range(power)
-    )
-    if len(target) != size:
-        return 0
-    count = 0
-    for perm in permutations(range(size)):
-        names = []
-        for i, j in enumerate(perm):
-            e = entries[i][j]
-            if e is None:
-                break
-            names.append(e)
-        else:
-            if sorted(names) == target:
-                count += 1
-    return count
-
-
-def brute_force_uniqueness(pm: PatternMatrix, cert: Certificate) -> Verdict:
-    """Expand the certificate's square minor over all permutations and check
-    the certificate monomial arises from exactly one of them (coefficient
-    +-1, no cancellation).  Factorial cost; bounded at 8 rows."""
-    if pm.n_rows > 8:
-        raise ValueError(f"{pm.n_rows} rows exceed the factorial expansion bound of 8")
-    cols = _certificate_columns(pm, cert)
-    if len(cols) != pm.n_rows:
-        return Verdict(False, "certificate minor is not square")
-    entries: list[list[str | None]] = []
-    col_triples = pm.cols
-    for p_row in pm.rows:
-        row = []
-        for j in cols:
-            v = pm.entry(p_row, col_triples[j])
-            row.append(None if v is None else v.label)
-        entries.append(row)
-    monomial = {v.label: power for v, power in cert.monomial}
-    count = count_monomial_terms(entries, monomial)
-    if count == 1:
-        return Verdict(True, "monomial appears in exactly one permutation term")
-    return Verdict(False, f"monomial appears in {count} permutation terms, want 1")
 
 
 # -- dimension oracle -----------------------------------------------------------

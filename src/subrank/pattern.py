@@ -10,7 +10,6 @@ variable occurs at most once per row and once per column.
 
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -148,19 +147,6 @@ class PatternMatrix:
             n_vars += slots * len(codes)
             col0 += r * slots
 
-    def entry(self, p: tuple[int, ...], c: tuple[int, int, int]) -> Variable | None:
-        """Variable at row p, column c = (t, m, s); None where the matrix is zero."""
-        r, k = self.r, self.k
-        t, m, s = c
-        if not (
-            1 <= t <= k and 1 <= m <= r and 1 <= s <= self.dims[t - 1] - r
-            and len(p) == k and all(1 <= x <= r for x in p) and max(map(p.count, p)) <= k - 2
-        ):
-            raise KeyError(f"position ({p}, {c}) outside the matrix")
-        if p[t - 1] != m:
-            return None
-        return Variable(t=t, s=s, reduced=p[: t - 1] + p[t:])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PatternMatrix):
             return NotImplemented
@@ -248,34 +234,6 @@ def pattern_doc(pm: PatternMatrix) -> dict:
     }
 
 
-def pattern_to_json(pm: PatternMatrix) -> str:
-    """Lossless JSON form with stable key order."""
-    return json.dumps(pattern_doc(pm), indent=2)
-
-
-def pattern_from_json(text: str) -> PatternMatrix:
-    """Rebuild a pattern from its JSON form, cross-checking every entry."""
-    doc = json.loads(text)
-    try:
-        r, dims = int(doc["r"]), tuple(int(n) for n in doc["dims"])
-        rows = [tuple(p) for p in doc["rows"]]
-        cols = [tuple(c) for c in doc["cols"]]
-        entries = [((int(e["row"]), int(e["col"])), parse_variable(e["var"]))
-                   for e in doc["entries"]]
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"malformed pattern JSON: {e!r}") from e
-    pm = build_pattern(r, dims)
-    if rows != list(pm.rows) or cols != list(pm.cols):
-        raise ValueError("row/column labels disagree with the stated r and dims")
-    if len(entries) != pm.nnz:
-        raise ValueError(f"entry list has {len(entries)} entries, expected {pm.nnz}")
-    listed = dict(entries)
-    actual = {(i, j): v for i, j, v in _entries(pm)}
-    if listed != actual:
-        raise ValueError("entry list disagrees with the stated r and dims")
-    return pm
-
-
 def pattern_to_coordinate_list(pm: PatternMatrix) -> str:
     """Newline-delimited ASCII form: "nRows nCols nnz" header, then one
     "rowIdx colIdx varName" line per nonzero (1-based indices)."""
@@ -283,21 +241,3 @@ def pattern_to_coordinate_list(pm: PatternMatrix) -> str:
     for i, j, v in _entries(pm):
         lines.append(f"{i + 1} {j + 1} {v.label}")
     return "\n".join(lines) + "\n"
-
-
-def parse_coordinate_list(text: str) -> tuple[int, int, list[tuple[int, int, Variable]]]:
-    """Parse the coordinate-list form back into (nRows, nCols, entries)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("missing header")
-    n_rows, n_cols, nnz = (int(x) for x in lines[0].split())
-    entries = []
-    for ln in lines[1:]:
-        si, sj, label = ln.split(" ", 2)
-        i, j = int(si), int(sj)
-        if not (1 <= i <= n_rows and 1 <= j <= n_cols):
-            raise ValueError(f"entry ({i}, {j}) outside the {n_rows} x {n_cols} matrix")
-        entries.append((i - 1, j - 1, parse_variable(label)))
-    if len(entries) != nnz:
-        raise ValueError(f"header declares {nnz} entries, found {len(entries)}")
-    return n_rows, n_cols, entries

@@ -10,7 +10,9 @@ import pytest
 from subrank import cli, modular
 from subrank.cli import main
 from subrank.certificate import certificate_to_json, find_certificate
-from subrank.pattern import build_pattern, pattern_from_json, pattern_to_json
+from subrank.pattern import build_pattern
+
+from reference_formats import pattern_from_json, pattern_to_json
 
 
 def run(capsys, *argv):

@@ -27,11 +27,8 @@ from subrank.modular import (
     _rank_python,
     _sub61,
     _update,
-    brute_force_uniqueness,
-    count_monomial_terms,
     instantiate,
     is_prime,
-    minor_determinant_check,
     modular_to_coordinate_list,
     random_assignment,
     rank_mod_p,
@@ -40,6 +37,8 @@ from subrank.modular import (
     verify_generic_rank,
 )
 from subrank.pattern import build_pattern
+
+from reference_minor import brute_force_uniqueness, count_monomial_terms, minor_determinant_check
 
 
 def reference_seeded_value(seed, index, p):
@@ -88,7 +87,7 @@ def squaring_lower_inverse(lower: np.ndarray, invs: np.ndarray) -> np.ndarray:
 def blocked_rank(a: np.ndarray, overwrite: bool = False) -> int:
     """Rank mod 2^61-1 of `a` by the blocked kernel, through `rank_mod_p`;
     `a` is left unchanged unless `overwrite`."""
-    return rank_mod_p(ModularMatrix(a.shape[0], a.shape[1], MERSENNE61, a), overwrite)
+    return rank_mod_p(ModularMatrix(MERSENNE61, a), overwrite)
 
 
 def split_at_most(monkeypatch, width):
@@ -190,7 +189,7 @@ def reference_subspace_dimension_oracle(
         rows[i, coord_index(c)] = 1
     for i, vec in enumerate(slice_vectors):
         rows[len(unit_coords) + i] = vec
-    mm = ModularMatrix(rows.shape[0], ambient, p, rows)
+    mm = ModularMatrix(p, rows)
     return rank_mod_p(mm)
 
 
@@ -287,10 +286,17 @@ class TestInstantiate:
 
 class TestRank:
     def test_identity_and_zero(self):
-        eye = ModularMatrix(5, 5, MERSENNE61, np.eye(5, dtype=np.uint64))
+        eye = ModularMatrix(MERSENNE61, np.eye(5, dtype=np.uint64))
         assert rank_mod_p(eye) == 5
-        zero = ModularMatrix(4, 6, MERSENNE61, np.zeros((4, 6), dtype=np.uint64))
+        zero = ModularMatrix(MERSENNE61, np.zeros((4, 6), dtype=np.uint64))
         assert rank_mod_p(zero) == 0
+
+    @pytest.mark.parametrize("p", [MERSENNE61, 7])
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0)])
+    def test_empty_matrix_shape_comes_from_its_data(self, shape, p):
+        mm = ModularMatrix(p, np.zeros(shape, dtype=np.uint64))
+        assert (mm.n_rows, mm.n_cols) == shape
+        assert rank_mod_p(mm) == 0
 
     def test_square_example_is_full_rank(self):
         pm = build_pattern(4, (6, 6, 6))
@@ -600,7 +606,7 @@ class TestRank:
 
     def test_small_prime_path(self):
         rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-        mm = ModularMatrix(3, 3, 7, np.array(rows, dtype=np.uint64))
+        mm = ModularMatrix(7, np.array(rows, dtype=np.uint64))
         assert rank_mod_p(mm) == 2
 
     def test_square_example_via_independent_elimination_orders(self, monkeypatch):
