@@ -36,21 +36,25 @@ Python elimination that tests also use as the reference.
 
 A rank trial of a pattern uses its shape first.  Direction 1's columns are
 block diagonal: r blocks of n_rows / r rows by n_1 - r columns, one per
-value of j_1.  So the trial eliminates those blocks together, one batched
-pivot step per column position over a stack of them, applies each block's
-pivots to the later columns with the same update, moves the rows left
-below the pivots to the front of the matrix's own buffer and ranks only
-that Schur complement.  A nonzero off the blocks, or a block without a
-pivot in one of its leading columns, sends the matrix to the kernel above
-unchanged.  The step is taken by input size only: where the kernel would
-split the matrix (more than 2^14 entries) and some column lies past the
-blocks, since smaller matrices, such as every dimension-oracle input, run
-faster on the kernel alone.
+value of j_1.  So the trial never builds the dense matrix: it instantiates
+those blocks as a stack and the later columns as a matrix of their own,
+eliminates the blocks together, one batched pivot step per column position
+over the stack, and applies each block's pivots to its rows of the later
+columns as X = F L'^-1, formed once per block, and A22 -= X A12, one
+product per strip.  It then moves the rows left below the pivots to the
+front of the later matrix's buffer and ranks only that Schur complement.
+A block without a pivot in one of its leading columns sends the dense
+matrix, built from the blocks as instantiated, to the kernel above.  The
+step is taken by input size only: where the kernel would split the matrix
+(more than 2^14 entries) and some column lies past the blocks, since
+smaller matrices, such as every dimension-oracle input, run faster on the
+kernel alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,10 +117,11 @@ def random_assignment(pm: PatternMatrix, seed: int, p: int = DEFAULT_PRIME) -> R
 
 # -- matrices ----------------------------------------------------------------
 
-# Largest dense uint64 matrix `instantiate` allocates, in bytes.  A rank
-# trial eliminates the matrix in place with a workspace of a few MiB, so a
-# large one peaks at little over the matrix: `verify` at n=100 peaks at
-# 172-173 MB RSS for a 138 MB matrix, and at n=150 at 558 MB for 519 MB.
+# Largest dense uint64 matrix `instantiate` allocates, in bytes.  The guard
+# still counts the whole dense matrix, although a trial that takes the block
+# step allocates only the columns past direction 1's blocks and the blocks'
+# stack: `verify` at n=100 peaks at 133-134 MB RSS, where the dense matrix
+# takes 138 MB, and at n=150 at 409 MB, where it takes 519 MB.
 _DENSE_LIMIT = 1 << 30
 
 
@@ -150,8 +155,12 @@ def check_dense_size(r: int, dims: tuple[int, ...]) -> None:
         )
 
 
-def instantiate(pm: PatternMatrix, assignment: RandomAssignment) -> ModularMatrix:
-    """Replace each variable by its assigned residue; zeros stay zero."""
+def _placed(pm: PatternMatrix, assignment: RandomAssignment) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For each direction in turn, the column numbers of its nonzeros and
+    their residues, both (n_rows, n_t - r) as `direction_blocks()` gives
+    them; the one placement that `instantiate` and `_instantiate_split`
+    share.  The assignment and the dense size are checked on the call,
+    before the caller allocates anything."""
     values, p = assignment.values, assignment.p
     if len(values) != pm.n_vars:
         raise ValueError(
@@ -159,13 +168,36 @@ def instantiate(pm: PatternMatrix, assignment: RandomAssignment) -> ModularMatri
             f"{pm.n_vars} variables"
         )
     check_dense_size(pm.r, pm.dims)
-    data = np.zeros((pm.n_rows, pm.n_cols), dtype=np.uint64)
     values = values % np.uint64(p)
     # One direction's block at a time, so no index array spans all nonzeros.
+    return ((cols, values[var]) for cols, var in pm.direction_blocks())
+
+
+def instantiate(pm: PatternMatrix, assignment: RandomAssignment) -> ModularMatrix:
+    """Replace each variable by its assigned residue; zeros stay zero."""
+    data = np.zeros((pm.n_rows, pm.n_cols), dtype=np.uint64)
     rows = np.arange(pm.n_rows)[:, None]
-    for cols, var in pm.direction_blocks():
-        data[rows, cols] = values[var]
-    return ModularMatrix(p, data)
+    for cols, vals in _placed(pm, assignment):
+        data[rows, cols] = vals
+    return ModularMatrix(assignment.p, data)
+
+
+def _instantiate_split(pm: PatternMatrix, assignment: RandomAssignment) -> tuple[np.ndarray, np.ndarray]:
+    """`instantiate` as direction 1's diagonal blocks and the columns past
+    them, never the whole matrix: the (r, n_rows / r, n_1 - r) stack whose
+    block i, row q, slot s is the entry at row i n_rows / r + q and column
+    i (n_1 - r) + s, and the n_rows x (n_cols - r (n_1 - r)) matrix of the
+    later columns.  By the entry rule, column (1, m, s) holds row i's value
+    for slot s exactly when row i has j_1 = m, and those rows are the m-th
+    run of n_rows / r, so direction 1's values in row order are the stack."""
+    width = pm.dims[0] - pm.r
+    placed = _placed(pm, assignment)
+    stack = next(placed)[1].reshape(pm.r, -1, width)
+    later = np.zeros((pm.n_rows, pm.n_cols - pm.r * width), dtype=np.uint64)
+    rows = np.arange(pm.n_rows)[:, None]
+    for cols, vals in placed:
+        later[rows, cols - pm.r * width] = vals
+    return stack, later
 
 
 def modular_to_coordinate_list(mm: ModularMatrix) -> str:
@@ -544,47 +576,71 @@ def _apply_pivots(a: np.ndarray, piv_cols: list[int], c0: int, c1: int) -> None:
         _update(a, i0, cols, _lower_inverse(lower, np.diagonal(lower)), c0, c1)
 
 
-def _rank_blocks(a: np.ndarray, blocks: int, width: int) -> int:
-    """Rank mod 2^61 - 1 of `a`, which it eliminates in place, when its first
-    blocks * width columns are block diagonal: block i is rows i h:(i+1) h
-    by columns i width:(i+1) width, with h = n_rows / blocks.
+def _rank_blocks(stack: np.ndarray, later: np.ndarray) -> int:
+    """Rank mod 2^61 - 1 of the matrix whose first columns are the blocks of
+    `stack` down the diagonal and whose other columns are `later`: block i,
+    of shape (h, width), is rows i h:(i+1) h by columns i width:(i+1) width,
+    and `later` holds every row's columns past the blocks.  Both are
+    eliminated in place.
 
-    All blocks are eliminated together by `_eliminate_blocks`, on a copy of
-    them, to g = min(h, width) pivots each.  Then each block's pivots are
-    applied to the columns past the blocks, the blocks * (h - g) rows left
-    below them are moved up into the front of the buffer of `a`, and the
-    rank is blocks * g plus the rank of that Schur complement.  Any nonzero
-    outside the blocks in their columns, or a block with no pivot in one of
-    its first g columns, sends the whole matrix to `_rank61` instead; `a` is
-    untouched by then."""
-    m, n = a.shape
-    h, w = m // blocks, blocks * width
+    All blocks are eliminated together by `_eliminate_blocks` to
+    g = min(h, width) pivots each.  Then each block's pivots are applied to
+    its rows of `later` by `_apply_block`, the blocks * (h - g) rows left
+    below them are moved up to the front of `later`, and the rank is
+    blocks * g plus the rank of that Schur complement.  A block with no pivot
+    in one of its first g columns sends the whole matrix, built from the
+    blocks as they were given, to `_rank61` instead."""
+    blocks, h, width = stack.shape
     g = min(h, width)
-    for i in range(blocks):
-        band = a[i * h:(i + 1) * h, :w]
-        if band[:, :i * width].any() or band[:, (i + 1) * width:].any():
-            return _rank61(a)
-    stack = np.stack([a[i * h:(i + 1) * h, i * width:(i + 1) * width] for i in range(blocks)])
+    given = stack.copy()
     order = _eliminate_blocks(stack, g)
     if order is None:
+        a = np.zeros((blocks * h, blocks * width + later.shape[1]), dtype=np.uint64)
+        for i in range(blocks):
+            a[i * h:(i + 1) * h, i * width:(i + 1) * width] = given[i]
+        a[:, blocks * width:] = later
         return _rank61(a)
+    del given
     if g == h:
-        return m
+        return blocks * h
     for i in range(blocks):
-        rows = a[i * h:(i + 1) * h]
+        rows = later[i * h:(i + 1) * h]
         if (order[i] != np.arange(h)).any():
-            rows[:, w:] = rows[order[i], w:]
-        rows[:, i * width:(i + 1) * width] = stack[i]
-        _apply_pivots(rows, list(range(i * width, i * width + g)), w, n)
-    del stack                                   # free it before the complement's rank
-    # Row j of the complement is row j + (i + 1) g of `a`, which for g >= 1
-    # starts past where row j ends in the narrower complement, so each row
-    # moves up without overlapping its source or any row still to move.
-    left = [i * h + q for i in range(blocks) for q in range(g, h)]
-    schur = a.reshape(-1)[:len(left) * (n - w)].reshape(len(left), n - w)
-    for j, i in enumerate(left):
-        schur[j] = a[i, w:]
-    return blocks * g + _rank61(schur)
+            rows[:] = rows[order[i]]
+        _apply_block(stack[i], rows, g)
+        # Row q >= g of block i moves up to row i (h - g) + q - g; every row
+        # still to move lies below block i, and numpy copies the overlap of
+        # block i with its own destination as if through a temporary.
+        later[i * (h - g):(i + 1) * (h - g)] = rows[g:]
+    return blocks * g + _rank61(later[:blocks * (h - g)])
+
+
+def _apply_block(block: np.ndarray, rows: np.ndarray, g: int) -> None:
+    """Apply the g pivots of an eliminated block to `rows`, its rows' later
+    columns, in place and _PANEL pivots at a time, as `_apply_pivots` does.
+
+    For each group, F is the multipliers of the rows below it and L' its
+    pivot triangle, with the pivot inverses on the diagonal; X = F L'^-1 is
+    formed once, and then A22 -= X A12 strip by strip, one product each."""
+    for c0 in range(0, g, _PANEL):
+        c1 = min(c0 + _PANEL, g)
+        lower = block[c0:c1, c0:c1]
+        x = _matmul_mod_m61(block[c1:, c0:c1], _lower_inverse(lower, np.diagonal(lower)))
+        _subtract_product(rows[c1:], x, rows[c0:c1])
+
+
+def _subtract_product(below: np.ndarray, x: np.ndarray, top: np.ndarray) -> None:
+    """below -= x @ top mod 2^61 - 1, in place, for an inner dimension of at
+    most 512.  Each strip of _STRIP columns of `top` is split into limbs
+    once and `below` is taken _TILE_ROWS rows at a time, so the temporaries
+    stay a few (_TILE_ROWS x _STRIP) arrays."""
+    xs = _limbs(x)
+    for s0 in range(0, below.shape[1], _STRIP):
+        s = slice(s0, s0 + _STRIP)
+        ys = _spread(top[:, s])
+        for i in range(0, len(below), _TILE_ROWS):
+            tile = below[i:i + _TILE_ROWS, s]
+            tile[...] = _sub61(tile, _matmul61(xs[i:i + _TILE_ROWS], ys))
 
 
 def _eliminate_blocks(stack: np.ndarray, g: int) -> np.ndarray | None:
@@ -631,16 +687,18 @@ def _pattern_rank(pm: PatternMatrix, seed: int, p: int) -> int:
     columns are block diagonal: column (1, m, s) meets only the rows with
     j_1 = m, which in lexicographic order are the m-th run of n_rows / r
     rows (relabelling [r] keeps a row admissible, so every m has as many).
-    So mod 2^61 - 1 `_rank_blocks` eliminates those r blocks of n_1 - r
-    columns together first, but only where `_factor` would split the matrix
-    (over _BASE_CELLS entries) and some column lies past the blocks; smaller
-    matrices are faster on the generic kernel alone."""
-    mm = instantiate(pm, random_assignment(pm, seed, p))
+    So mod 2^61 - 1 the trial is instantiated as those r blocks of n_1 - r
+    columns and the columns past them, never as one dense matrix, and
+    `_rank_blocks` eliminates the blocks together first.  That is done only
+    where `_factor` would split the matrix (over _BASE_CELLS entries) and
+    some column lies past the blocks; smaller matrices are faster on the
+    generic kernel alone."""
+    assignment = random_assignment(pm, seed, p)
     blocks, width = pm.r, pm.dims[0] - pm.r
-    if (mm.p == MERSENNE61 and mm.n_rows * mm.n_cols > _BASE_CELLS
-            and blocks >= 2 and 0 < blocks * width < mm.n_cols):
-        return _rank_blocks(mm.data, blocks, width)
-    return rank_mod_p(mm, overwrite=True)
+    if (p == MERSENNE61 and pm.n_rows * pm.n_cols > _BASE_CELLS
+            and blocks >= 2 and 0 < blocks * width < pm.n_cols):
+        return _rank_blocks(*_instantiate_split(pm, assignment))
+    return rank_mod_p(instantiate(pm, assignment), overwrite=True)
 
 
 def verify_generic_rank(

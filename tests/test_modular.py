@@ -16,6 +16,7 @@ from subrank.modular import (
     _PANEL,
     _STRIP,
     _fold61,
+    _instantiate_split,
     _limbs,
     _lower_inverse,
     _matmul61,
@@ -621,7 +622,7 @@ class TestRank:
 
 def block_layout(rng: np.random.Generator, blocks: int, h: int, width: int, extra: int) -> np.ndarray:
     """A seeded (blocks h) x (blocks width + extra) matrix whose first blocks
-    width columns are block diagonal, as `_rank_blocks` expects: block i is
+    width columns are block diagonal, as `rank_split` expects: block i is
     rows i h:(i+1) h by columns i width:(i+1) width, and every entry of the
     blocks and of the later columns is a random residue."""
     a = np.zeros((blocks * h, blocks * width + extra), dtype=np.uint64)
@@ -630,6 +631,25 @@ def block_layout(rng: np.random.Generator, blocks: int, h: int, width: int, extr
             0, MERSENNE61, size=(h, width), dtype=np.uint64)
     a[:, blocks * width:] = rng.integers(0, MERSENNE61, size=(blocks * h, extra), dtype=np.uint64)
     return a
+
+
+def split_blocks(a: np.ndarray, blocks: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dense layout `a` as `_rank_blocks` takes it: the (blocks, h, width)
+    stack of its diagonal blocks, block i being rows i h:(i+1) h by columns
+    i width:(i+1) width, and a copy of its columns past them.  Asserts that
+    nothing in the blocks' columns lies off the blocks."""
+    h, w = len(a) // blocks, blocks * width
+    stack = np.stack([a[i * h:(i + 1) * h, i * width:(i + 1) * width] for i in range(blocks)])
+    off = a[:, :w].copy()
+    for i in range(blocks):
+        off[i * h:(i + 1) * h, i * width:(i + 1) * width] = 0
+    assert not off.any()
+    return stack, a[:, w:].copy()
+
+
+def rank_split(a: np.ndarray, blocks: int, width: int) -> int:
+    """`_rank_blocks` of the dense block layout `a`, split by `split_blocks`."""
+    return _rank_blocks(*split_blocks(a, blocks, width))
 
 
 def spy_block_step(monkeypatch) -> dict[str, list]:
@@ -693,7 +713,7 @@ class TestBlockStep:
                 if pm.n_rows * pm.n_cols <= 60 * 105:
                     assert _rank_python(a.tolist(), MERSENNE61) == want
                 seen["eliminated"].clear()
-                assert _rank_blocks(a, r, n - r) == want
+                assert rank_split(a, r, n - r) == want
                 # Seeded values give every block a pivot in every column.
                 assert [order is None for order in seen["eliminated"]] == [False]
 
@@ -706,7 +726,7 @@ class TestBlockStep:
             want = modular._rank61(a.copy())
             if seed == 0:
                 assert _rank_python(a.tolist(), MERSENNE61) == want
-            assert _rank_blocks(a, r, dims[0] - r) == want == pm.n_rows
+            assert rank_split(a, r, dims[0] - r) == want == pm.n_rows
         assert len(seen["eliminated"]) == 3 and all(o is not None for o in seen["eliminated"])
 
     def test_all_ones_falls_back(self, monkeypatch):
@@ -717,7 +737,7 @@ class TestBlockStep:
         ones = RandomAssignment(0, MERSENNE61, np.ones(pm.n_vars, dtype=np.uint64))
         a = instantiate(pm, ones).data
         want = _rank_python(a.tolist(), MERSENNE61)
-        assert _rank_blocks(a, 5, 7) == want < pm.n_rows
+        assert rank_split(a, 5, 7) == want < pm.n_rows
         assert seen["eliminated"] == [None]
         assert seen["ranked"][0].shape == (pm.n_rows, pm.n_cols)
 
@@ -734,26 +754,27 @@ class TestBlockStep:
         a[rows, c] = _mulmod_m61(a[rows, c - 2], np.uint64(2)) if dependent else 0
         want = _rank_python(a.tolist(), MERSENNE61)
         before = a.copy()
-        assert _rank_blocks(a, blocks, width) == want
+        assert rank_split(a, blocks, width) == want
         assert seen["eliminated"] == [None]
         # The generic kernel ranked the matrix as it was given.
         assert np.array_equal(seen["ranked"][0], before)
 
-    @pytest.mark.parametrize("row, col", [(0, 18), (119, 0), (50, 30)])
-    def test_nonzero_outside_blocks_skips_step(self, row, col, monkeypatch):
-        # (14,14,14) r=6 has six 20 x 8 blocks; one nonzero off them, in
-        # their columns, and the matrix is not block diagonal.
-        seen = spy_block_step(monkeypatch)
-        pm = build_pattern(6, (14, 14, 14))
-        a = instantiate(pm, random_assignment(pm, 0)).data
-        assert a[row, col] == 0 and row // 20 != col // 8
-        a[row, col] = 12345
-        want = modular._rank61(a.copy())
-        before = a.copy()
-        seen["ranked"].clear()
-        assert _rank_blocks(a, 6, 8) == want
-        assert seen["eliminated"] == []
-        assert np.array_equal(seen["ranked"][0], before)
+    @pytest.mark.parametrize("r, dims", [
+        (4, (6, 6, 6)), (6, (14, 16, 18)), (4, (30, 8, 8)), (3, (8, 8, 8, 8)), (2, (5, 3, 4, 3, 6)),
+    ])
+    def test_split_form_equals_dense_instantiation(self, r, dims):
+        # The stack is the dense matrix's diagonal blocks, the later matrix
+        # its columns past them, and nothing lies off the blocks.
+        pm = build_pattern(r, dims)
+        assignment = random_assignment(pm, 0)
+        a = instantiate(pm, assignment).data
+        stack, later = _instantiate_split(pm, assignment)
+        width = dims[0] - r
+        want_stack, want_later = split_blocks(a, r, width)
+        assert stack.shape == (r, pm.n_rows // r, width)
+        assert np.array_equal(stack, want_stack)
+        assert np.array_equal(later, want_later)
+        assert later.shape == (pm.n_rows, pm.n_cols - r * width)
 
     def test_wide_blocks_are_full_row_rank(self, monkeypatch):
         # Blocks wider than tall reach g = h pivots each: full row rank, and
@@ -763,12 +784,12 @@ class TestBlockStep:
         a = block_layout(rng, 3, 4, 7, 5)
         a[:, 21:] = 0
         assert _rank_python(a.tolist(), MERSENNE61) == 12
-        assert _rank_blocks(a, 3, 7) == 12
+        assert rank_split(a, 3, 7) == 12
         assert seen["ranked"] == []
         pm = build_pattern(4, (30, 8, 8))                # 24 rows in blocks of 6 x 26
         a = instantiate(pm, random_assignment(pm, 0)).data
         want = _rank_python(a.tolist(), MERSENNE61)
-        assert _rank_blocks(a, 4, 26) == want == 24
+        assert rank_split(a, 4, 26) == want == 24
         assert [o is None for o in seen["eliminated"]] == [False, False]
 
     def test_random_layouts_match_reference(self, monkeypatch):
@@ -802,7 +823,7 @@ class TestBlockStep:
             seen["eliminated"].clear()
             with monkeypatch.context() as mp:
                 split_at_most(mp, int(rng.integers(2, 9)))
-                assert _rank_blocks(a, blocks, width) == want
+                assert rank_split(a, blocks, width) == want
             order = seen["eliminated"][0] if seen["eliminated"] else None
             fell_back += order is None
             moved = order is not None and (order != np.arange(h)).any()
@@ -815,31 +836,48 @@ class TestBlockStep:
         # Only where `_factor` would split (over 2^14 entries) and some column
         # lies past the blocks: the (6,6,6) warm-up, the five dim-oracle
         # matrices and (40,7,7) r=7 (no later column) stay on the generic
-        # kernel; so does any other prime.
-        taken = []
-        rank_blocks = modular._rank_blocks
+        # kernel; so does any other prime.  A trial that takes the step
+        # never builds the dense matrix; every other trial does.
+        taken, dense = [], []
+        rank_blocks, dense_instantiate = modular._rank_blocks, modular.instantiate
 
-        def spy(a, blocks, width):
-            taken.append(a.shape)
-            return rank_blocks(a, blocks, width)
+        def spy(stack, later):
+            blocks, _, width = stack.shape
+            taken.append((len(later), blocks * width + later.shape[1]))
+            return rank_blocks(stack, later)
+
+        def spy_instantiate(pm, assignment):
+            dense.append((pm.r, pm.dims))
+            return dense_instantiate(pm, assignment)
 
         monkeypatch.setattr(modular, "_rank_blocks", spy)
+        monkeypatch.setattr(modular, "instantiate", spy_instantiate)
         generic = [(4, (6, 6, 6)), (6, (10, 10, 10)), (6, (12, 12, 12)), (5, (6, 8, 10)),
                    (3, (4, 4, 4, 4)), (3, (6, 6, 6, 6)), (7, (40, 7, 7))]
         for r, dims in generic:
             pm = build_pattern(r, dims)
             assert _pattern_rank(pm, 0, MERSENNE61) == modular._rank61(
                 instantiate(pm, random_assignment(pm, 0)).data)
-        assert taken == []
+        assert taken == [] and dense == generic
+        dense.clear()
         for r, dims in [(6, (14, 14, 14)), (9, (32, 32, 32)), (3, (8, 8, 8, 8))]:
             pm = build_pattern(r, dims)
             assert _pattern_rank(pm, 0, MERSENNE61) == pm.n_rows
         assert taken == [(120, 144), (504, 621)]
+        assert dense == [(3, (8, 8, 8, 8))]
+        dense.clear()
+        # h = 156 rows and g = 136 pivots per block: the pivots reach the
+        # later columns in two groups, the first of _PANEL.
+        pm = build_pattern(14, (150, 15, 15))
+        assert min(pm.n_rows // 14, 136) > _PANEL
+        want = modular._rank61(instantiate(pm, random_assignment(pm, 0)).data)
+        assert _pattern_rank(pm, 0, MERSENNE61) == want
+        assert taken[-1] == (pm.n_rows, pm.n_cols) and dense == []
         monkeypatch.setattr(modular, "_BASE_CELLS", 0)
         pm, p = build_pattern(4, (7, 7, 7)), 1_000_003
         want = _rank_python(instantiate(pm, random_assignment(pm, 0, p)).data.tolist(), p)
         assert _pattern_rank(pm, 0, p) == want
-        assert len(taken) == 2
+        assert len(taken) == 3 and dense == [(4, (7, 7, 7))]
 
 
 P = MERSENNE61
@@ -1015,8 +1053,9 @@ class TestVerifyGenericRank:
             verify_generic_rank(pm, 6, trials=0)
 
     def test_trial_eliminates_its_matrix_in_place(self):
-        # The trial holds its dense matrix once: a working copy of it would
-        # add a whole matrix to the peak (4.3 times the matrix with one).
+        # The trial holds at most one matrix of the dense size: a working
+        # copy of it would add a whole matrix to the peak (4.3 times the
+        # matrix with one).
         pm = build_pattern(10, (40, 40, 40))
         dense = pm.n_rows * pm.n_cols * 8
         tracemalloc.start()
@@ -1031,8 +1070,8 @@ class TestVerifyGenericRank:
 
     def test_tall_trial_workspace_is_bounded(self):
         # The update works in 256-row tiles at every height, so one trial at
-        # (64,64,64) r=13 holds its 26 MiB matrix and a workspace of a few
-        # MiB: one strip of L'^-1 A12 in limbs (2.5 MiB) and a tile's
+        # (64,64,64) r=13 holds less than its 26 MiB dense matrix and a
+        # workspace of a few MiB: one strip in limbs (2.5 MiB) and a tile's
         # temporaries (1 MiB each).  Whole-height strips held 18 MiB more.
         pm = build_pattern(13, (64, 64, 64))
         dense = pm.n_rows * pm.n_cols * 8
