@@ -37,24 +37,26 @@ Python elimination that tests also use as the reference.
 A rank trial of a pattern uses its shape first.  Direction 1's columns are
 block diagonal: r blocks of n_rows / r rows by n_1 - r columns, one per
 value of j_1.  So the trial never builds the dense matrix: it instantiates
-those blocks as a stack and the later columns as a matrix of their own,
-eliminates the blocks together, one batched pivot step per column position
-over the stack, and applies each block's pivots to its rows of the later
-columns as X = F L'^-1, formed once per block, and A22 -= X A12, one
-product per strip.  It then moves the rows left below the pivots to the
-front of the later matrix's buffer and ranks only that Schur complement.
+direction 1 alone, as a stack of those blocks, and eliminates the blocks
+together, one batched pivot step per column position over the stack,
+before any later column exists.  It then allocates the Schur complement,
+the rows left below each block's pivots, and builds the later columns one
+block's rows at a time, already in that block's pivot order; it applies
+the block's pivots to them as X = F L'^-1, formed once per block, and
+A22 -= X A12, one product per strip, and copies the rows left below the
+pivots into the block's slice of the complement.  It ranks only that
+complement, so the rows of the later columns are never held all at once.
 A block without a pivot in one of its leading columns sends the dense
-matrix, built from the blocks as instantiated, to the kernel above.  The
-step is taken by input size only: where the kernel would split the matrix
-(more than 2^14 entries) and some column lies past the blocks, since
-smaller matrices, such as every dimension-oracle input, run faster on the
-kernel alone.
+instantiation to the kernel above.  The step is taken by input size only:
+where the kernel would split the matrix (more than 2^14 entries) and some
+column lies past the blocks, since smaller matrices, such as every
+dimension-oracle input, run faster on the kernel alone.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,9 +121,10 @@ def random_assignment(pm: PatternMatrix, seed: int, p: int = DEFAULT_PRIME) -> R
 
 # Largest dense uint64 matrix `instantiate` allocates, in bytes.  The guard
 # still counts the whole dense matrix, although a trial that takes the block
-# step allocates only the columns past direction 1's blocks and the blocks'
-# stack: `verify` at n=100 peaks at 133-134 MB RSS, where the dense matrix
-# takes 138 MB, and at n=150 at 409 MB, where it takes 519 MB.
+# step holds only the blocks' stack, the Schur complement and one block's
+# rows of the later columns: `verify` at n=100 peaks at 113 MB RSS, where
+# the dense matrix takes 138 MB, at n=150 at 317 MB for 519 MB, and at
+# n=192, the largest cube the guard admits, at 548 MB for 991 MB.
 _DENSE_LIMIT = 1 << 30
 
 
@@ -158,9 +161,9 @@ def check_dense_size(r: int, dims: tuple[int, ...]) -> None:
 def _placed(pm: PatternMatrix, assignment: RandomAssignment) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """For each direction in turn, the column numbers of its nonzeros and
     their residues, both (n_rows, n_t - r) as `direction_blocks()` gives
-    them; the one placement that `instantiate` and `_instantiate_split`
-    share.  The assignment and the dense size are checked on the call,
-    before the caller allocates anything."""
+    them; the one placement that `instantiate` and the block step of
+    `_pattern_rank` share.  The assignment and the dense size are checked
+    on the call, before the caller allocates anything."""
     values, p = assignment.values, assignment.p
     if len(values) != pm.n_vars:
         raise ValueError(
@@ -180,24 +183,6 @@ def instantiate(pm: PatternMatrix, assignment: RandomAssignment) -> ModularMatri
     for cols, vals in _placed(pm, assignment):
         data[rows, cols] = vals
     return ModularMatrix(assignment.p, data)
-
-
-def _instantiate_split(pm: PatternMatrix, assignment: RandomAssignment) -> tuple[np.ndarray, np.ndarray]:
-    """`instantiate` as direction 1's diagonal blocks and the columns past
-    them, never the whole matrix: the (r, n_rows / r, n_1 - r) stack whose
-    block i, row q, slot s is the entry at row i n_rows / r + q and column
-    i (n_1 - r) + s, and the n_rows x (n_cols - r (n_1 - r)) matrix of the
-    later columns.  By the entry rule, column (1, m, s) holds row i's value
-    for slot s exactly when row i has j_1 = m, and those rows are the m-th
-    run of n_rows / r, so direction 1's values in row order are the stack."""
-    width = pm.dims[0] - pm.r
-    placed = _placed(pm, assignment)
-    stack = next(placed)[1].reshape(pm.r, -1, width)
-    later = np.zeros((pm.n_rows, pm.n_cols - pm.r * width), dtype=np.uint64)
-    rows = np.arange(pm.n_rows)[:, None]
-    for cols, vals in placed:
-        later[rows, cols - pm.r * width] = vals
-    return stack, later
 
 
 def modular_to_coordinate_list(mm: ModularMatrix) -> str:
@@ -576,43 +561,38 @@ def _apply_pivots(a: np.ndarray, piv_cols: list[int], c0: int, c1: int) -> None:
         _update(a, i0, cols, _lower_inverse(lower, np.diagonal(lower)), c0, c1)
 
 
-def _rank_blocks(stack: np.ndarray, later: np.ndarray) -> int:
+def _rank_blocks(stack: np.ndarray, later_rows: Callable[[np.ndarray], Iterable[np.ndarray]]) -> int | None:
     """Rank mod 2^61 - 1 of the matrix whose first columns are the blocks of
-    `stack` down the diagonal and whose other columns are `later`: block i,
-    of shape (h, width), is rows i h:(i+1) h by columns i width:(i+1) width,
-    and `later` holds every row's columns past the blocks.  Both are
-    eliminated in place.
+    `stack` down the diagonal and whose other columns are given block by
+    block: block i, of shape (h, width), is rows i h:(i+1) h by columns
+    i width:(i+1) width.  `later_rows(order)` yields, for each block i in
+    turn, its h rows of the later columns, taken in the row order order[i];
+    `_rank_blocks` may overwrite each before asking for the next.  The stack
+    is eliminated in place.  Returns None, having asked for no later rows,
+    if some block has no pivot in one of its first g = min(h, width) columns.
 
-    All blocks are eliminated together by `_eliminate_blocks` to
-    g = min(h, width) pivots each.  Then each block's pivots are applied to
-    its rows of `later` by `_apply_block`, the blocks * (h - g) rows left
-    below them are moved up to the front of `later`, and the rank is
-    blocks * g plus the rank of that Schur complement.  A block with no pivot
-    in one of its first g columns sends the whole matrix, built from the
-    blocks as they were given, to `_rank61` instead."""
+    All blocks are eliminated together by `_eliminate_blocks` before any
+    later row exists.  Then each block's rows arrive already in its pivot
+    order; its pivots are applied to them by `_apply_block` and the h - g
+    rows left below the pivots are copied into the Schur complement, the
+    blocks * (h - g) rows that alone are ranked past the blocks.  So the
+    peak holds the complement, one block's rows and the kernel workspace."""
     blocks, h, width = stack.shape
     g = min(h, width)
-    given = stack.copy()
     order = _eliminate_blocks(stack, g)
     if order is None:
-        a = np.zeros((blocks * h, blocks * width + later.shape[1]), dtype=np.uint64)
-        for i in range(blocks):
-            a[i * h:(i + 1) * h, i * width:(i + 1) * width] = given[i]
-        a[:, blocks * width:] = later
-        return _rank61(a)
-    del given
+        return None
     if g == h:
         return blocks * h
-    for i in range(blocks):
-        rows = later[i * h:(i + 1) * h]
-        if (order[i] != np.arange(h)).any():
-            rows[:] = rows[order[i]]
+    left = h - g
+    complement = None
+    for i, rows in enumerate(later_rows(order)):
         _apply_block(stack[i], rows, g)
-        # Row q >= g of block i moves up to row i (h - g) + q - g; every row
-        # still to move lies below block i, and numpy copies the overlap of
-        # block i with its own destination as if through a temporary.
-        later[i * (h - g):(i + 1) * (h - g)] = rows[g:]
-    return blocks * g + _rank61(later[:blocks * (h - g)])
+        if complement is None:
+            complement = np.empty((blocks * left, rows.shape[1]), dtype=np.uint64)
+        complement[i * left:(i + 1) * left] = rows[g:]
+    del rows                            # the last block's buffer, not needed by the rank
+    return blocks * g + _rank61(complement)
 
 
 def _apply_block(block: np.ndarray, rows: np.ndarray, g: int) -> None:
@@ -687,18 +667,49 @@ def _pattern_rank(pm: PatternMatrix, seed: int, p: int) -> int:
     columns are block diagonal: column (1, m, s) meets only the rows with
     j_1 = m, which in lexicographic order are the m-th run of n_rows / r
     rows (relabelling [r] keeps a row admissible, so every m has as many).
-    So mod 2^61 - 1 the trial is instantiated as those r blocks of n_1 - r
-    columns and the columns past them, never as one dense matrix, and
-    `_rank_blocks` eliminates the blocks together first.  That is done only
-    where `_factor` would split the matrix (over _BASE_CELLS entries) and
-    some column lies past the blocks; smaller matrices are faster on the
-    generic kernel alone."""
+    So mod 2^61 - 1 the trial instantiates direction 1 alone, as the stack
+    of those r blocks of n_1 - r columns, and `_rank_blocks` eliminates it
+    before directions 2..k are placed; `_later_blocks` then builds the
+    columns past the blocks one block's rows at a time.  No dense matrix,
+    and no matrix of all rows of the later columns, is ever allocated.  A
+    block without a pivot sends the dense matrix to the generic kernel.  The
+    step is taken only where `_factor` would split the matrix (over
+    _BASE_CELLS entries) and some column lies past the blocks; smaller
+    matrices are faster on the generic kernel alone."""
     assignment = random_assignment(pm, seed, p)
     blocks, width = pm.r, pm.dims[0] - pm.r
     if (p == MERSENNE61 and pm.n_rows * pm.n_cols > _BASE_CELLS
             and blocks >= 2 and 0 < blocks * width < pm.n_cols):
-        return _rank_blocks(*_instantiate_split(pm, assignment))
+        placed = _placed(pm, assignment)
+        stack = next(placed)[1].reshape(blocks, -1, width)
+        rank = _rank_blocks(stack, lambda order: _later_blocks(pm, placed, order))
+        if rank is not None:
+            return rank
     return rank_mod_p(instantiate(pm, assignment), overwrite=True)
+
+
+def _later_blocks(
+    pm: PatternMatrix, placed: Iterator[tuple[np.ndarray, np.ndarray]], order: np.ndarray
+) -> Iterator[np.ndarray]:
+    """For each of direction 1's r blocks in turn, its n_rows / r rows of
+    the columns past the blocks, block i's taken in the row order order[i],
+    from `placed`, the placement of directions 2..k.  By the entry rule,
+    block i's rows are the i-th run of n_rows / r.
+
+    The directions are placed on the first step and let go when the last
+    block has been taken, so the caller ranks its complement without them.
+    Every block is built in the same buffer, which the caller may overwrite
+    before asking for the next."""
+    h, c0 = pm.n_rows // pm.r, pm.r * (pm.dims[0] - pm.r)
+    later = list(placed)
+    rows = np.empty((h, pm.n_cols - c0), dtype=np.uint64)
+    slots = np.arange(h)[:, None]
+    for i, block_order in enumerate(order):
+        take = i * h + block_order
+        rows.fill(0)
+        for cols, vals in later:
+            rows[slots, cols[take] - c0] = vals[take]
+        yield rows
 
 
 def verify_generic_rank(

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections.abc import Callable
 from itertools import product
 
 import numpy as np
@@ -16,7 +17,6 @@ from subrank.modular import (
     _PANEL,
     _STRIP,
     _fold61,
-    _instantiate_split,
     _limbs,
     _lower_inverse,
     _matmul61,
@@ -633,23 +633,29 @@ def block_layout(rng: np.random.Generator, blocks: int, h: int, width: int, extr
     return a
 
 
-def split_blocks(a: np.ndarray, blocks: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+def split_blocks(a: np.ndarray, blocks: int, width: int) -> tuple[np.ndarray, Callable]:
     """The dense layout `a` as `_rank_blocks` takes it: the (blocks, h, width)
     stack of its diagonal blocks, block i being rows i h:(i+1) h by columns
-    i width:(i+1) width, and a copy of its columns past them.  Asserts that
-    nothing in the blocks' columns lies off the blocks."""
+    i width:(i+1) width, and `later_rows`, which yields a copy of each
+    block's rows of the columns past them, in the block's row order.
+    Asserts that nothing in the blocks' columns lies off the blocks."""
     h, w = len(a) // blocks, blocks * width
     stack = np.stack([a[i * h:(i + 1) * h, i * width:(i + 1) * width] for i in range(blocks)])
     off = a[:, :w].copy()
     for i in range(blocks):
         off[i * h:(i + 1) * h, i * width:(i + 1) * width] = 0
     assert not off.any()
-    return stack, a[:, w:].copy()
+    later = a[:, w:]
+    return stack, lambda order: (later[i * h + rows] for i, rows in enumerate(order))
 
 
 def rank_split(a: np.ndarray, blocks: int, width: int) -> int:
-    """`_rank_blocks` of the dense block layout `a`, split by `split_blocks`."""
-    return _rank_blocks(*split_blocks(a, blocks, width))
+    """The rank of the dense block layout `a` as a trial takes it:
+    `_rank_blocks` of its split by `split_blocks`, or, when a block has no
+    pivot, `_rank61` of a copy of `a` itself, as `_pattern_rank` ranks the
+    dense instantiation then."""
+    rank = _rank_blocks(*split_blocks(a, blocks, width))
+    return modular._rank61(a.copy()) if rank is None else rank
 
 
 def spy_block_step(monkeypatch) -> dict[str, list]:
@@ -731,15 +737,17 @@ class TestBlockStep:
 
     def test_all_ones_falls_back(self, monkeypatch):
         # Every block is all ones, of rank 1, so no block finds a second
-        # pivot and the whole matrix goes to the generic kernel.
+        # pivot and the trial ranks its dense instantiation on the generic
+        # kernel instead.
         seen = spy_block_step(monkeypatch)
-        pm = build_pattern(5, (12, 12, 12))
+        pm = build_pattern(6, (14, 14, 14))
         ones = RandomAssignment(0, MERSENNE61, np.ones(pm.n_vars, dtype=np.uint64))
+        monkeypatch.setattr(modular, "random_assignment", lambda pm, seed, p: ones)
         a = instantiate(pm, ones).data
         want = _rank_python(a.tolist(), MERSENNE61)
-        assert rank_split(a, 5, 7) == want < pm.n_rows
+        assert _pattern_rank(pm, 0, MERSENNE61) == want < pm.n_rows
         assert seen["eliminated"] == [None]
-        assert seen["ranked"][0].shape == (pm.n_rows, pm.n_cols)
+        assert np.array_equal(seen["ranked"][0], a)
 
     @pytest.mark.parametrize("dependent", [False, True])
     def test_block_without_pivot_falls_back(self, dependent, monkeypatch):
@@ -762,19 +770,32 @@ class TestBlockStep:
     @pytest.mark.parametrize("r, dims", [
         (4, (6, 6, 6)), (6, (14, 16, 18)), (4, (30, 8, 8)), (3, (8, 8, 8, 8)), (2, (5, 3, 4, 3, 6)),
     ])
-    def test_split_form_equals_dense_instantiation(self, r, dims):
-        # The stack is the dense matrix's diagonal blocks, the later matrix
-        # its columns past them, and nothing lies off the blocks.
+    def test_later_rows_equal_dense_instantiation(self, r, dims, monkeypatch):
+        # What a trial hands `_rank_blocks`: the stack is the dense matrix's
+        # diagonal blocks, nothing lies off them, and block i's later rows,
+        # asked for in any row order, are the dense matrix's rows
+        # i h + order[i] past the blocks.
+        handed = []
+
+        def spy(stack, later_rows):
+            handed.append((stack.copy(), later_rows))
+            return None
+
+        monkeypatch.setattr(modular, "_BASE_CELLS", 0)
+        monkeypatch.setattr(modular, "_rank_blocks", spy)
         pm = build_pattern(r, dims)
-        assignment = random_assignment(pm, 0)
-        a = instantiate(pm, assignment).data
-        stack, later = _instantiate_split(pm, assignment)
-        width = dims[0] - r
-        want_stack, want_later = split_blocks(a, r, width)
-        assert stack.shape == (r, pm.n_rows // r, width)
-        assert np.array_equal(stack, want_stack)
-        assert np.array_equal(later, want_later)
-        assert later.shape == (pm.n_rows, pm.n_cols - r * width)
+        a = instantiate(pm, random_assignment(pm, 0)).data
+        _pattern_rank(pm, 0, MERSENNE61)
+        [(stack, later_rows)] = handed
+        h, width = pm.n_rows // r, dims[0] - r
+        assert stack.shape == (r, h, width)
+        assert np.array_equal(stack, split_blocks(a, r, width)[0])
+        rng = np.random.default_rng(r)
+        order = np.array([rng.permutation(h) for _ in range(r)])
+        got = [rows.copy() for rows in later_rows(order)]
+        assert len(got) == r
+        for i, rows in enumerate(got):
+            assert np.array_equal(rows, a[i * h + order[i], r * width:])
 
     def test_wide_blocks_are_full_row_rank(self, monkeypatch):
         # Blocks wider than tall reach g = h pivots each: full row rank, and
@@ -841,10 +862,19 @@ class TestBlockStep:
         taken, dense = [], []
         rank_blocks, dense_instantiate = modular._rank_blocks, modular.instantiate
 
-        def spy(stack, later):
-            blocks, _, width = stack.shape
-            taken.append((len(later), blocks * width + later.shape[1]))
-            return rank_blocks(stack, later)
+        def spy(stack, later_rows):
+            blocks, h, width = stack.shape
+            shapes = []
+
+            def counted(order):
+                for rows in later_rows(order):
+                    shapes.append(rows.shape)
+                    yield rows
+
+            rank = rank_blocks(stack, counted)
+            assert len(set(shapes)) == 1 and len(shapes) == blocks and shapes[0][0] == h
+            taken.append((blocks * h, blocks * width + shapes[0][1]))
+            return rank
 
         def spy_instantiate(pm, assignment):
             dense.append((pm.r, pm.dims))
@@ -1053,9 +1083,10 @@ class TestVerifyGenericRank:
             verify_generic_rank(pm, 6, trials=0)
 
     def test_trial_eliminates_its_matrix_in_place(self):
-        # The trial holds at most one matrix of the dense size: a working
-        # copy of it would add a whole matrix to the peak (4.3 times the
-        # matrix with one).
+        # The trial never holds a copy of its dense matrix: the block step
+        # keeps only the Schur complement (0.39 times the dense size here)
+        # and peaks at 1.3 times the dense size with its workspace.  A
+        # working copy of the dense matrix would add a whole one to the peak.
         pm = build_pattern(10, (40, 40, 40))
         dense = pm.n_rows * pm.n_cols * 8
         tracemalloc.start()
@@ -1069,12 +1100,15 @@ class TestVerifyGenericRank:
 
 
     def test_tall_trial_workspace_is_bounded(self):
-        # The update works in 256-row tiles at every height, so one trial at
-        # (64,64,64) r=13 holds less than its 26 MiB dense matrix and a
-        # workspace of a few MiB: one strip in limbs (2.5 MiB) and a tile's
-        # temporaries (1 MiB each).  Whole-height strips held 18 MiB more.
+        # One trial at (64,64,64) r=13 holds its 10.7 MiB Schur complement,
+        # one block's 102 rows of the later columns and a workspace of a few
+        # MiB: one strip in limbs (2.5 MiB) and a tile's temporaries (1 MiB
+        # each), since the update works in 256-row tiles at every height.
+        # Holding the later columns of all rows, or the 26 MiB dense matrix,
+        # would pass the bound.
         pm = build_pattern(13, (64, 64, 64))
-        dense = pm.n_rows * pm.n_cols * 8
+        h, width = pm.n_rows // 13, 64 - 13
+        complement = 13 * (h - width) * (pm.n_cols - 13 * width) * 8
         tracemalloc.start()
         try:
             verdict = verify_generic_rank(pm, pm.n_rows, trials=1)
@@ -1082,7 +1116,8 @@ class TestVerifyGenericRank:
         finally:
             tracemalloc.stop()
         assert verdict.ok
-        assert peak < dense + 10 * 2**20
+        assert complement == 13 * (132 - 51) * 1326 * 8
+        assert peak < complement + 10 * 2**20
 
 
 class TestPinnedTrials:
